@@ -401,9 +401,6 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     except montecarlo.EventFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if len(batch) == 0:
-        print("error: no events in file", file=sys.stderr)
-        return EXIT_RUNTIME
     if cfg.model_specified and (
         cfg.tau != file_config.params.tau or cfg.delta_m != file_config.params.delta_m
     ):

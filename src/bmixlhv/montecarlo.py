@@ -18,9 +18,7 @@ far below any statistical resolution.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import hashlib
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ from .model import (
     flavour_window_codes,
     rho_table,
 )
+from .reporting import open_atomic
 from .streams import EventStream, uniform_pair_block
 
 __all__ = [
@@ -55,6 +54,17 @@ __all__ = [
 _ENVELOPE_SCALE = 4.0  # acceptance prob = rho / (1/4) = 4 * rho
 
 EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped")
+
+# rows formatted per write; bounds the text held in memory to a few MB
+WRITE_CHUNK_ROWS = 65_536
+
+# label text by flavour code; code 0 is unused
+_LABEL_BY_CODE = np.array([None, Flavour.B0.label, Flavour.B0BAR.label], dtype=object)
+
+# one parsed event row.  The labels get one byte more than the longest
+# label, so a longer field, which loadtxt truncates, still fails the exact
+# label comparison
+_ROW_DTYPE = np.dtype(list(zip(EVENT_COLUMNS, ("u8", "f8", "f8", "S6", "f8", "S6", "u1"))))
 
 
 class RejectionOverflowError(RuntimeError):
@@ -327,6 +337,9 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
         return generate_events(config, 0, n)
     bounds = [round(i * n / workers) for i in range(workers + 1)]
     ranges = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    # the table cache has no lock: built here, the workers only read it
+    # instead of each building its own copy
+    rho_table(config.params)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda r: generate_events(config, *r), ranges))
     return concatenate_batches(parts)
@@ -358,55 +371,109 @@ def _header_lines(config: SimConfig, batch: EventBatch) -> list[str]:
 
 
 def write_events(batch: EventBatch, config: SimConfig, path) -> None:
-    """Write the delimited event file (header comments + one row per event)."""
+    """Write the delimited event file (header comments + one row per event).
+
+    Rows are formatted column-wise in blocks of :data:`WRITE_CHUNK_ROWS`;
+    the file appears under ``path`` only once it is complete.
+    """
     if config_fingerprint(config) != batch.config_fingerprint:
         raise ValueError("batch fingerprint does not match the supplied configuration")
-    buf = io.StringIO()
-    for line in _header_lines(config, batch):
-        buf.write(line + "\n")
-    labels = {int(Flavour.B0): Flavour.B0.label, int(Flavour.B0BAR): Flavour.B0BAR.label}
-    for i in range(len(batch)):
-        buf.write(
-            f"{int(batch.index[i])},{float(batch.lam[i])!r},{float(batch.t1[i])!r},"
-            f"{labels[int(batch.flavour1[i])]},{float(batch.t2[i])!r},"
-            f"{labels[int(batch.flavour2[i])]},{int(batch.swapped[i])}\n"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    for codes in (batch.flavour1, batch.flavour2):
+        if not np.isin(codes, (Flavour.B0, Flavour.B0BAR)).all():
+            raise ValueError("flavour codes must be those of B0 and B0bar")
+    with open_atomic(path) as fh:
+        fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
+        for start in range(0, len(batch), WRITE_CHUNK_ROWS):
+            block = slice(start, start + WRITE_CHUNK_ROWS)
+            rows = zip(
+                batch.index[block].tolist(),
+                batch.lam[block].tolist(),
+                batch.t1[block].tolist(),
+                _LABEL_BY_CODE[batch.flavour1[block]].tolist(),
+                batch.t2[block].tolist(),
+                _LABEL_BY_CODE[batch.flavour2[block]].tolist(),
+                batch.swapped[block].astype(np.uint8).tolist(),
+            )
+            fh.write("".join([
+                f"{i},{lam!r},{t1!r},{f1},{t2!r},{f2},{sw}\n"
+                for i, lam, t1, f1, t2, f2, sw in rows
+            ]))
+
+
+def _reject_rows(bad: np.ndarray, problem: str) -> None:
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise EventFileError(f"row {rows[0]} {problem}")
+
+
+def _flavour_codes(labels: np.ndarray, column: str) -> np.ndarray:
+    codes = np.zeros(labels.shape, dtype=np.int8)
+    for flavour in Flavour:
+        codes[labels == flavour.label.encode()] = flavour
+    _reject_rows(codes == 0, f"has an unknown {column} label")
+    return codes
 
 
 def read_events(path) -> tuple[EventBatch, SimConfig]:
-    """Parse an event file; validates the header against its own fingerprint."""
+    """Parse an event file; validates the header against its own fingerprint
+    and the rows against the header.
+
+    Raises :class:`EventFileError` unless the file holds exactly
+    ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
+    ``B0``/``B0bar`` labels and 0/1 swap flags.
+    """
     header: dict[str, str] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        has_rows = False
+        while True:
+            row_start = fh.tell()
+            line = fh.readline()
+            if not line:
+                break
+            line = line.decode("utf-8").rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                header[key] = value
-                continue
-            rows.append(line)
+            if not line.startswith("#"):
+                fh.seek(row_start)
+                has_rows = True
+                break
+            key, _, value = line[1:].strip().partition("=")
+            header[key] = value
 
-    required = ("fingerprint", "tau", "delta_m", "n_events", "seed",
-                "symmetrized", "max_rejection_iters")
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise EventFileError(f"event file header is missing {missing}")
-    try:
-        config = SimConfig(
-            params=ModelParams(float(header["tau"]), float(header["delta_m"])),
-            n_events=int(header["n_events"]),
-            seed=int(header["seed"]),
-            symmetrized=bool(int(header["symmetrized"])),
-            max_rejection_iters=int(header["max_rejection_iters"]),
-        )
-    except ValueError as exc:
-        raise EventFileError(f"invalid event file header: {exc}") from None
-    if config_fingerprint(config) != header["fingerprint"]:
-        raise EventFileError("event file fingerprint does not match its header fields")
+        required = ("fingerprint", "tau", "delta_m", "n_events", "seed",
+                    "symmetrized", "max_rejection_iters")
+        missing = [key for key in required if key not in header]
+        if missing:
+            raise EventFileError(f"event file header is missing {missing}")
+        try:
+            config = SimConfig(
+                params=ModelParams(float(header["tau"]), float(header["delta_m"])),
+                n_events=int(header["n_events"]),
+                seed=int(header["seed"]),
+                symmetrized=bool(int(header["symmetrized"])),
+                max_rejection_iters=int(header["max_rejection_iters"]),
+            )
+        except ValueError as exc:
+            raise EventFileError(f"invalid event file header: {exc}") from None
+        if config_fingerprint(config) != header["fingerprint"]:
+            raise EventFileError("event file fingerprint does not match its header fields")
+
+        n = config.n_events
+        rows = np.empty(0, dtype=_ROW_DTYPE)
+        if has_rows:
+            try:
+                # one row past n_events is enough to tell an overlong file
+                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                                  ndmin=1, max_rows=n + 1)
+            except ValueError as exc:
+                raise EventFileError(f"malformed event row: {exc}") from None
+
+    if rows.size != n:
+        found = f"more than {n}" if rows.size > n else rows.size
+        raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
+    _reject_rows(rows["index"] != np.arange(n, dtype=np.uint64),
+                 "is out of order: its index is not its position")
+    _reject_rows(rows["swapped"] > 1, "has a swapped flag other than 0 or 1")
 
     stats = None
     if "lambda_proposals" in header and "t2_proposals" in header:
@@ -416,37 +483,15 @@ def read_events(path) -> tuple[EventBatch, SimConfig]:
             lambda_proposals=int(header["lambda_proposals"]),
             t2_proposals=int(header["t2_proposals"]),
         )
-
-    n = len(rows)
-    index = np.empty(n, dtype=np.uint64)
-    lam = np.empty(n, dtype=float)
-    t1 = np.empty(n, dtype=float)
-    flavour1 = np.empty(n, dtype=np.int8)
-    t2 = np.empty(n, dtype=float)
-    flavour2 = np.empty(n, dtype=np.int8)
-    swapped = np.empty(n, dtype=bool)
-    for i, row in enumerate(csv.reader(rows)):
-        if len(row) != len(EVENT_COLUMNS):
-            raise EventFileError(f"row {i} has {len(row)} fields, expected {len(EVENT_COLUMNS)}")
-        try:
-            index[i] = int(row[0])
-            lam[i] = float(row[1])
-            t1[i] = float(row[2])
-            flavour1[i] = int(Flavour.from_label(row[3]))
-            t2[i] = float(row[4])
-            flavour2[i] = int(Flavour.from_label(row[5]))
-            swapped[i] = bool(int(row[6]))
-        except ValueError as exc:
-            raise EventFileError(f"row {i} is malformed: {exc}") from None
     return (
         EventBatch(
-            index=index,
-            lam=lam,
-            t1=t1,
-            flavour1=flavour1,
-            t2=t2,
-            flavour2=flavour2,
-            swapped=swapped,
+            index=np.ascontiguousarray(rows["index"]),
+            lam=np.ascontiguousarray(rows["lambda"]),
+            t1=np.ascontiguousarray(rows["t1"]),
+            flavour1=_flavour_codes(rows["flavour1"], "flavour1"),
+            t2=np.ascontiguousarray(rows["t2"]),
+            flavour2=_flavour_codes(rows["flavour2"], "flavour2"),
+            swapped=rows["swapped"].astype(bool),
             config_fingerprint=header["fingerprint"],
             rng_stats=stats,
         ),

@@ -10,9 +10,13 @@ identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
+import os
+import secrets
+from pathlib import Path
 
 import yaml
 
@@ -22,6 +26,7 @@ __all__ = [
     "csv_columns",
     "fingerprint_of_mapping",
     "format_value",
+    "open_atomic",
     "table_text",
     "write_text",
     "yaml_tree",
@@ -92,6 +97,28 @@ def csv_columns(headers, rows, fingerprint: str, **header_fields) -> str:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def open_atomic(path):
+    """Text handle onto a temporary file beside ``path`` that replaces
+    ``path`` only once the block completes.
+
+    A writer that fails or is interrupted never leaves a partial artifact
+    under the final name.  The data is not fsynced: this guards against an
+    interrupted process, not against a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write(text)

@@ -178,3 +178,15 @@ def side2_particle_probability(lam: float, delta_m: float, t_max: float = 60.0) 
         if math.cos(lam - dm * 0.5 * (a + b)) > 0.0:
             total += antider(b) - antider(a)
     return total / inverse_n_exact(lam, dm, t_max)
+
+
+def event_file_rows(batch) -> str:
+    """Event-file body formatted one row at a time: the reference for the
+    column-wise writer, which must produce the same bytes."""
+    labels = {1: "B0", 2: "B0bar"}
+    return "".join(
+        f"{int(batch.index[i])},{float(batch.lam[i])!r},{float(batch.t1[i])!r},"
+        f"{labels[int(batch.flavour1[i])]},{float(batch.t2[i])!r},"
+        f"{labels[int(batch.flavour2[i])]},{int(batch.swapped[i])}\n"
+        for i in range(len(batch))
+    )

@@ -24,10 +24,9 @@ def _load_events(path):
 def test_simulate_writes_events_and_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("simulate", "--x", 0.776, "--events", 400, "--seed", 9, "--out", out) == 0
-    assert (out / "events.csv").exists()
-    assert (out / "manifest.txt").exists()
-    assert (out / "manifest.yaml").exists()
-    assert not (out / "manifest.csv").exists()  # key/value tree is not columnar
+    # no manifest.csv: a key/value tree is not columnar; no temporary files left
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.csv", "manifest.txt", "manifest.yaml"]
     assert "simulated 400 events" in capsys.readouterr().out
     batch, config = read_events(out / "events.csv")
     assert len(batch) == 400
@@ -284,15 +283,6 @@ def test_analyze_rejects_mismatched_model(tmp_path, capsys):
 def test_analyze_runtime_failures_exit_1(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "--x", 0.776, "--events", 5, "--out", sim) == 0
-    text = (sim / "events.csv").read_text()
-    header_only = "".join(
-        line + "\n" for line in text.splitlines() if line.startswith("#")
-    )
-    empty = tmp_path / "empty.csv"
-    empty.write_text(header_only)
-    assert run("analyze", empty, "--out", tmp_path / "f1") == 1
-    assert "no events" in capsys.readouterr().err
-
     # too few events to populate three groups: the fit must refuse, not lie
     assert run("analyze", sim / "events.csv", "--out", tmp_path / "f2") == 1
     assert "group" in capsys.readouterr().err
@@ -306,6 +296,14 @@ def test_corrupted_event_file_exits_2(tmp_path, capsys):
     bad.write_text(text)
     assert run("analyze", bad, "--out", tmp_path / "fit") == 2
     assert "fingerprint" in capsys.readouterr().err
+
+    # a body that lost rows no longer matches the header's n_events
+    lines = (sim / "events.csv").read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    for name, kept in (("empty.csv", header), ("truncated.csv", lines[:-4])):
+        (tmp_path / name).write_text("".join(kept))
+        assert run("analyze", tmp_path / name, "--out", tmp_path / "fit") == 2
+        assert "n_events=10" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_an_argparse_error():

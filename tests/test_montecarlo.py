@@ -1,14 +1,20 @@
 """Generator tests: bit-exact reproducibility, stream partitioning, and
 agreement of the sampled distributions with quadrature of the model laws."""
 
+import dataclasses
+import functools
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from bmixlhv import model, montecarlo
 from bmixlhv.model import Flavour, ModelParams
 from bmixlhv.montecarlo import (
+    WRITE_CHUNK_ROWS,
     EventBatch,
     EventFileError,
     RejectionOverflowError,
@@ -25,6 +31,7 @@ from bmixlhv.montecarlo import (
 )
 from bmixlhv.streams import EventStream
 from oracles import (
+    event_file_rows,
     inverse_n_exact,
     side2_bin_probability,
     side2_particle_probability,
@@ -75,6 +82,22 @@ def test_scalar_samplers_reproduce_the_batch_columns():
         assert lam == batch.lam[i]
         assert t1 == batch.t1[i] and int(f1) == batch.flavour1[i]
         assert t2 == batch.t2[i] and int(f2) == batch.flavour2[i]
+
+
+def test_parallel_generate_builds_the_table_once(monkeypatch):
+    """The workers share one phase-density table instead of racing past the
+    unlocked cache and each building a copy."""
+    builds = []
+    real_cache = model._cached_table
+
+    def slow_build(params):
+        builds.append(params)
+        time.sleep(0.2)  # a real build takes seconds; the workers start meanwhile
+        return real_cache(params)
+
+    monkeypatch.setattr(model, "_cached_table", functools.lru_cache(maxsize=8)(slow_build))
+    generate(_config(n=64), workers=2)
+    assert len(builds) == 1
 
 
 def test_generate_rejects_bad_worker_count():
@@ -215,11 +238,37 @@ def test_symmetrizing_preserves_lag_histograms():
 # ---------------------------------------------------------------------------
 # event file round trip
 
+# sha256 of events.csv for n=2000, seed=20260814, keyed by (x, symmetrized).
+# Any change to the event bytes must be deliberate: bump the generator
+# version and update these digests together.
+GOLDEN_EVENT_FILE_SHA256 = {
+    (0.776, False): "5a58b3e284443db65182bba1d85ed16c53623ae2abc36df0454b2a2f0d4c580b",
+    (0.776, True): "2f81f4a57fd0925e4cb0619bc832d89f37078415519132e60329b0e71c9a2dc9",
+    (5.0, False): "8a3c0dda9adf4b63a11b76f8a900f9568e01f0f1cc561bbf3e4343a5c377c7fd",
+    (5.0, True): "d87a3a45d6fcb41b88168d626c6b3cbc80d74d3be0fa9731676410304814f15c",
+}
+
+
+@pytest.mark.parametrize("x, symmetrized", sorted(GOLDEN_EVENT_FILE_SHA256))
+def test_event_file_golden_digest(tmp_path, x, symmetrized):
+    cfg = _config(n=2000, seed=20260814, symmetrized=symmetrized, dm=x)
+    path = tmp_path / "events.csv"
+    write_events(generate(cfg), cfg, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_EVENT_FILE_SHA256[(x, symmetrized)]
+
+
 def test_event_file_round_trip(tmp_path):
-    cfg = _config(n=300, seed=5, symmetrized=True)
-    batch = generate(cfg)
+    # two full write blocks and a partial third
+    cfg = _config(n=2 * WRITE_CHUNK_ROWS + 7, seed=5, symmetrized=True)
+    batch = generate(cfg, workers=2)
     path = tmp_path / "events.csv"
     write_events(batch, cfg, path)
+    body = "".join(
+        line for line in path.read_text().splitlines(keepends=True)
+        if not line.startswith("#")
+    )
+    assert body == event_file_rows(batch)
     loaded, loaded_cfg = read_events(path)
     assert loaded == batch
     assert loaded_cfg == cfg
@@ -227,6 +276,32 @@ def test_event_file_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_events(loaded, loaded_cfg, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    cfg = _config(n=5)
+    batch = generate(cfg)
+    path = tmp_path / "events.csv"
+    write_events(batch, cfg, path)
+    before = path.read_bytes()
+
+    labels = montecarlo._LABEL_BY_CODE
+
+    class KilledAfterFirstBlock:
+        lookups = 0
+
+        def __getitem__(self, codes):
+            self.lookups += 1  # two lookups per block
+            if self.lookups > 2:
+                raise KeyboardInterrupt
+            return labels[codes]
+
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 2)
+    monkeypatch.setattr(montecarlo, "_LABEL_BY_CODE", KilledAfterFirstBlock())
+    with pytest.raises(KeyboardInterrupt):
+        write_events(batch, cfg, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
 def test_event_file_rejects_fingerprint_tampering(tmp_path):
@@ -247,23 +322,32 @@ def test_event_file_rejects_malformed_rows(tmp_path):
     good = tmp_path / "events.csv"
     write_events(batch, cfg, good)
     text = good.read_text()
+    lines = text.splitlines(keepends=True)
+    header = "".join(line for line in lines if line.startswith("#"))
+    rows = [line for line in lines if not line.startswith("#")]
 
-    short = text.rstrip("\n").rsplit(",", 1)[0] + "\n"  # drop last field
-    (tmp_path / "short.csv").write_text(short)
-    with pytest.raises(EventFileError):
-        read_events(tmp_path / "short.csv")
+    def with_field(row, column, value):
+        fields = row.rstrip("\n").split(",")
+        fields[column] = value
+        return ",".join(fields) + "\n"
 
-    broken = text.replace("B0bar", "B9", 1)
-    (tmp_path / "label.csv").write_text(broken)
-    with pytest.raises(EventFileError):
-        read_events(tmp_path / "label.csv")
-
-    headerless = "\n".join(
-        line for line in text.splitlines() if not line.startswith("# seed=")
-    )
-    (tmp_path / "hdr.csv").write_text(headerless + "\n")
-    with pytest.raises(EventFileError):
-        read_events(tmp_path / "hdr.csv")
+    cases = {
+        "short": (text.rstrip("\n").rsplit(",", 1)[0] + "\n", "columns"),
+        "label": (text.replace("B0bar", "B9", 1), "label"),
+        "numeric_label": (header + with_field(rows[0], 3, "1") + "".join(rows[1:]), "label"),
+        "long_label": (header + "".join(rows[:2]) + with_field(rows[2], 5, "B0barXY"), "label"),
+        "swapped": (header + "".join(rows[:2]) + with_field(rows[2], 6, "7"), "swapped"),
+        "truncated": (header + "".join(rows[:2]), "n_events"),
+        "extra_row": (header + "".join(rows) + rows[-1], "n_events"),
+        "empty": (header, "n_events"),
+        "reversed": (header + "".join(reversed(rows)), "out of order"),
+        "hdr": ("".join(line for line in lines if not line.startswith("# seed=")), "missing"),
+    }
+    for name, (content, problem) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(content)
+        with pytest.raises(EventFileError, match=problem):
+            read_events(path)
 
 
 def test_write_events_requires_matching_config(tmp_path):
@@ -271,6 +355,18 @@ def test_write_events_requires_matching_config(tmp_path):
     batch = generate(cfg)
     with pytest.raises(ValueError):
         write_events(batch, _config(n=4, seed=9), tmp_path / "x.csv")
+
+
+def test_write_events_rejects_unknown_flavour_codes(tmp_path):
+    cfg = _config(n=4, seed=8)
+    batch = generate(cfg)
+    for code in (0, -1, 3):
+        flavour2 = batch.flavour2.copy()
+        flavour2[1] = code
+        bad = dataclasses.replace(batch, flavour2=flavour2)
+        with pytest.raises(ValueError, match="flavour codes"):
+            write_events(bad, cfg, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
