@@ -66,16 +66,6 @@ class Flavour(enum.IntEnum):
     def label(self) -> str:
         return "B0" if self is Flavour.B0 else "B0bar"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Flavour":
-        try:
-            return _FLAVOUR_BY_LABEL[label]
-        except KeyError:
-            raise ValueError(f"unknown flavour label: {label!r}") from None
-
-
-_FLAVOUR_BY_LABEL = {"B0": Flavour.B0, "B0bar": Flavour.B0BAR}
-
 
 @dataclass(frozen=True)
 class ModelParams:

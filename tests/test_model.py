@@ -261,8 +261,5 @@ def test_pair_event_validation():
 
 
 def test_flavour_labels_round_trip():
-    for fl in Flavour:
-        assert Flavour.from_label(fl.label) is fl
-    with pytest.raises(ValueError):
-        Flavour.from_label("B2")
+    assert [fl.label for fl in Flavour] == ["B0", "B0bar"]
     assert int(Flavour.B0) == 1 and int(Flavour.B0BAR) == 2

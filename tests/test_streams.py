@@ -10,11 +10,12 @@ from bmixlhv.streams import EventStream, philox4x64, uniform_pair_block
 def _reference_block(key, counter):
     """The four raw words numpy's philox4x64-10 emits for this key/counter.
 
-    numpy increments counter word 0 before producing a block, so the block
-    labelled `counter` here comes out of numpy at counter[0] - 1.
+    numpy increments its 256-bit counter before producing a block, so the
+    block labelled `counter` here comes out of numpy at counter - 1.
     """
-    k = np.array(key, dtype=np.uint64)
-    c = (np.array(counter, dtype=np.uint64) - np.array([1, 0, 0, 0], dtype=np.uint64))
+    k = np.array([int(w) for w in key], dtype=np.uint64)
+    value = (sum(int(w) << (64 * i) for i, w in enumerate(counter)) - 1) % 2**256
+    c = np.array([(value >> (64 * i)) & (2**64 - 1) for i in range(4)], dtype=np.uint64)
     return Philox(key=k, counter=c).random_raw(4)
 
 
@@ -42,6 +43,33 @@ def test_vector_counters_match_scalar_blocks():
     for i, c in enumerate(c0):
         single = philox4x64(7, 0, c, 0, 5, 0)
         assert [int(w[i]) for w in words] == [int(w[0]) for w in single]
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 70_000])
+def test_array_lanes_match_numpy_philox(lanes):
+    # every lane has its own random key and counter
+    rng = np.random.default_rng(lanes)
+    key = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
+    counter = rng.integers(0, 2**64, size=(4, lanes), dtype=np.uint64)
+    ours = np.stack(philox4x64(*key, *counter))
+    assert ours.shape == (4, lanes)
+    for lane in range(lanes):
+        theirs = _reference_block(key[:, lane], counter[:, lane])
+        assert np.array_equal(ours[:, lane], theirs), f"lane {lane}"
+
+
+def test_kernel_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    key = rng.integers(0, 2**64, size=(2, 100), dtype=np.uint64)
+    counter = rng.integers(0, 2**64, size=(4, 100), dtype=np.uint64)
+    key_before, counter_before = key.copy(), counter.copy()
+    philox4x64(*key, *counter)
+    assert np.array_equal(key, key_before) and np.array_equal(counter, counter_before)
+
+    idx = np.arange(100, dtype=np.uint64)
+    cursor = np.full(100, 3, dtype=np.uint64)
+    uniform_pair_block(9, idx, cursor)
+    assert np.array_equal(idx, np.arange(100)) and np.array_equal(cursor, np.full(100, 3))
 
 
 def test_uniform_pair_block_range_and_determinism():
