@@ -9,8 +9,9 @@ With the phase distributed as ``rho_marginal``, the pair statistics
 reproduce the standard flavour-oscillation formulas exactly (verified by
 quadrature in :mod:`bmixlhv.verification`).
 
-All functions here are pure; the only cache is the immutable per-parameter
-table built by :func:`rho_table`.
+All functions here are pure.  The normalizer 1/N(lambda) has an
+elementary closed form (:func:`inverse_n`), which the sampler evaluates
+directly on whole arrays of proposed phases.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Flavour",
     "ModelParams",
     "PairEvent",
-    "RhoMarginalTable",
     "canonical_angle",
     "flavour_window",
     "flavour_window_codes",
@@ -42,17 +39,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 THREE_HALF_PI = 1.5 * math.pi
-
-# Time integrals are truncated at this many lifetimes; the discarded tail is
-# below e^-60 ~ 8.8e-27, far under every tolerance used in this package.
-T_MAX_LIFETIMES = 60.0
-
-# quadrature tolerance for the 1/N integral
-_QUAD_EPS = 1e-12
-
-# interior knot count of the cached rho-marginal table (plus a wrapped
-# endpoint knot at exactly 2pi)
-RHO_TABLE_POINTS = 4096
 
 
 class Flavour(enum.IntEnum):
@@ -182,53 +168,33 @@ def q_shape(l, lam, t, params: ModelParams) -> float:
     return math.exp(-t / params.tau) * max(c, 0.0)
 
 
-def _cos_zero_times(lam: float, params: ModelParams, t_max: float) -> np.ndarray:
-    """Strictly-interior zeros of cos(lam - delta_m*t) on (0, t_max), sorted."""
-    dm = params.delta_m
-    # zeros at t = (lam - pi/2 - m*pi) / dm
-    m_lo = math.floor((lam - HALF_PI - dm * t_max) / math.pi)
-    m_hi = math.ceil((lam - HALF_PI) / math.pi)
-    m = np.arange(m_lo, m_hi + 1, dtype=float)
-    t = (lam - HALF_PI - m * math.pi) / dm
-    t = t[(t > 0.0) & (t < t_max)]
-    return np.sort(t)
+def inverse_n(lam, params: ModelParams):
+    """1/N(lam): the time integral of exp(-t/tau)|cos(lam - delta_m*t)| over t >= 0.
 
+    In s = delta_m*t with a = 1/x the integral is (tau/x) times that of
+    e^(-as)|cos(lam - s)|, and F(s) = e^(-as)(-a cos(lam-s) - sin(lam-s))/(1+a^2)
+    is an antiderivative of the unrectified integrand.  The partial half-wave
+    before the first kink s0 = (lam - pi/2) mod pi gives |F(s0) - F(0)|; the
+    full half-waves after it form a geometric series with ratio e^(-a pi),
+    whose first term is e^(-a s0)(1 + e^(-a pi))/(1 + a^2).
 
-def inverse_n(lam, params: ModelParams) -> float:
-    """1/N(lam): the time integral of exp(-t/tau)|cos(lam - delta_m*t)|.
-
-    Evaluated by adaptive quadrature on [0, 60 tau] with breakpoints at the
-    kinks of |cos|, so each subinterval is analytic.  Bounds: the integrand
-    is positive and capped by the bare exponential, hence
-    0 < inverse_n <= tau.
+    Returns a float for a scalar ``lam`` and an array for an array.  The
+    integrand is positive and capped by the bare exponential, hence
+    0 < inverse_n < tau.
     """
-    lam = float(lam)
-    tau, dm = params.tau, params.delta_m
-    t_max = T_MAX_LIFETIMES * tau
-
-    def integrand(t: float) -> float:
-        return math.exp(-t / tau) * abs(math.cos(lam - dm * t))
-
-    kinks = _cos_zero_times(lam, params, t_max)
-    val, err = quad(
-        integrand,
-        0.0,
-        t_max,
-        points=kinks,
-        limit=max(100, 4 * kinks.size + 10),
-        epsabs=_QUAD_EPS,
-        epsrel=_QUAD_EPS,
-    )
-    if err > 1e-9:
-        raise RuntimeError(
-            f"1/N quadrature failed to converge at lam={lam!r}: err={err!r}"
-        )
-    if not 0.0 < val <= tau:
-        raise RuntimeError(f"1/N out of bounds at lam={lam!r}: {val!r}")
-    return val
+    lam = np.asarray(lam, dtype=float)
+    a = 1.0 / params.x
+    s0 = np.mod(lam - HALF_PI, math.pi)
+    decay = np.exp(-a * s0)
+    # both terms carry the common factor 1/(1 + a^2), applied last
+    head = np.abs(decay * (a * np.cos(lam - s0) + np.sin(lam - s0))
+                  - (a * np.cos(lam) + np.sin(lam)))
+    tail = decay * (1.0 + math.exp(-a * math.pi)) / -math.expm1(-a * math.pi)
+    val = params.tau / params.x * (head + tail) / (1.0 + a * a)
+    return float(val) if val.ndim == 0 else val
 
 
-def rho_marginal(lam, params: ModelParams) -> float:
+def rho_marginal(lam, params: ModelParams):
     """Density of the shared hidden phase: inverse_n(lam) / (4 tau).
 
     Integrates to 1 over [0, 2pi) and is bounded above by 1/4, which is the
@@ -237,91 +203,6 @@ def rho_marginal(lam, params: ModelParams) -> float:
     return inverse_n(lam, params) / (4.0 * params.tau)
 
 
-# ---------------------------------------------------------------------------
-# cached rho-marginal table
-
-_GL_ORDER = 16
-_GL_SPLITS = 8  # sub-panels per inter-kink panel
-_GRID_CHUNK = 256
-
-
-def _inverse_n_grid(lams: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Vectorized 1/N on a lambda grid.
-
-    Composite Gauss-Legendre between the per-lambda cosine zeros: every
-    kink inside (0, t_max) becomes a panel edge (kinks outside are clipped
-    to the boundary, leaving zero-width panels that contribute nothing), and
-    each panel is split into fixed sub-panels so the rule stays sharp even
-    for slow oscillation.  Knot values agree with the scalar quadrature
-    path to ~1e-14; the test suite asserts that agreement.
-    """
-    tau, dm = params.tau, params.delta_m
-    t_max = T_MAX_LIFETIMES * tau
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    # unit-interval node/weight template for one panel split into sub-panels
-    offsets = np.arange(_GL_SPLITS) / _GL_SPLITS
-    u_nodes = (offsets[:, None] + (nodes[None, :] + 1.0) / (2.0 * _GL_SPLITS)).ravel()
-    u_weights = np.tile(weights / (2.0 * _GL_SPLITS), _GL_SPLITS)
-
-    # kink index range valid for every lam in [0, 2pi]; descending m gives
-    # ascending kink times
-    m_hi = 1
-    m_lo = math.floor(-0.5 - dm * t_max / math.pi)
-    m = np.arange(m_hi, m_lo - 1, -1, dtype=float)
-
-    out = np.empty(lams.shape, dtype=float)
-    for start in range(0, lams.size, _GRID_CHUNK):
-        lam_c = lams[start : start + _GRID_CHUNK]
-        kinks = (lam_c[:, None] - HALF_PI - m[None, :] * math.pi) / dm
-        edges = np.concatenate(
-            [
-                np.zeros((lam_c.size, 1)),
-                np.clip(kinks, 0.0, t_max),
-                np.full((lam_c.size, 1), t_max),
-            ],
-            axis=1,
-        )
-        lo = edges[:, :-1]
-        widths = np.diff(edges, axis=1)
-        t = lo[:, :, None] + widths[:, :, None] * u_nodes[None, None, :]
-        f = np.exp(-t / tau) * np.abs(np.cos(lam_c[:, None, None] - dm * t))
-        out[start : start + _GRID_CHUNK] = np.einsum("cpk,k,cp->c", f, u_weights, widths)
-    return out
-
-
-class RhoMarginalTable:
-    """rho_marginal tabulated on a uniform lambda grid, PCHIP-interpolated.
-
-    The interpolant is shape-preserving, so between knots it never exceeds
-    the tabulated values; since the exact density stays strictly below the
-    1/4 envelope, so does the table, keeping envelope rejection valid.
-    Between knots the interpolant tracks the exact density to ~1e-8 (the
-    shape-preserving derivative limiting costs accuracy at the density
-    extrema) — negligible against any statistical resolution.  Instances
-    are immutable after construction and safe to share across threads.
-    """
-
-    def __init__(self, params: ModelParams, n_points: int = RHO_TABLE_POINTS):
-        grid = np.linspace(0.0, TWO_PI, n_points + 1)
-        values = _inverse_n_grid(grid, params) / (4.0 * params.tau)
-        values[-1] = values[0]  # exact periodic wrap
-        self.params = params
-        self.lam_grid = grid
-        self.values = values
-        self._interp = PchipInterpolator(grid, values, extrapolate=False)
-        self.lam_grid.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def __call__(self, lam):
-        """Interpolated rho_marginal; accepts scalars or arrays in [0, 2pi]."""
-        return self._interp(lam)
-
-
-@lru_cache(maxsize=8)
-def _cached_table(params: ModelParams) -> RhoMarginalTable:
-    return RhoMarginalTable(params)
-
-
-def rho_table(params: ModelParams) -> RhoMarginalTable:
-    """Shared per-parameter :class:`RhoMarginalTable` (built once, reused)."""
-    return _cached_table(params)
+def rho_table(params: ModelParams):
+    """The phase density for fixed ``params`` as a one-argument callable."""
+    return lambda lam: rho_marginal(lam, params)

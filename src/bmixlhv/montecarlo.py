@@ -13,10 +13,8 @@ workers with byte-identical output.
 events, each writing its own slice of the preallocated result columns, so
 peak temporary memory does not depend on ``n_events``.
 
-The rejection accept tests evaluate the cached phase-density table
-(:func:`bmixlhv.model.rho_table`) rather than re-running the slow exact
-quadrature per proposal; the table agrees with the exact path to ~1e-8,
-far below any statistical resolution.
+The phase accept test evaluates the closed-form phase density
+(:func:`bmixlhv.model.rho_table`) on each round's whole array of proposals.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .model import (
     rho_table,
 )
 from .reporting import open_atomic
-from .streams import EventStream, uniform_pair_block
+from .streams import uniform_pair_block
 
 __all__ = [
     "EventBatch",
@@ -48,9 +46,6 @@ __all__ = [
     "generate",
     "generate_events",
     "read_events",
-    "sample_lambda",
-    "sample_side1",
-    "sample_side2",
     "write_events",
 ]
 
@@ -172,10 +167,6 @@ class EventBatch:
             swapped=bool(self.swapped[i]),
         )
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventBatch):
             return NotImplemented
@@ -186,43 +177,6 @@ class EventBatch:
                 np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMN_DTYPES
             )
         )
-
-
-# ---------------------------------------------------------------------------
-# scalar samplers
-#
-# These mirror the batch stages draw for draw (and use numpy scalar math so
-# even the last ulp matches the vectorized path).
-
-def sample_lambda(rng_stream: EventStream, params: ModelParams, max_iters: int = 10_000) -> float:
-    """Draw the shared phase by rejection under the constant 1/4 envelope."""
-    table = rho_table(params)
-    for _ in range(max_iters):
-        u_a, u_b = rng_stream.next_pair()
-        prop = TWO_PI * u_a
-        if u_b < _ENVELOPE_SCALE * float(table(np.float64(prop))):
-            return prop
-    raise RejectionOverflowError("lambda")
-
-
-def sample_side1(rng_stream: EventStream, lam: float, params: ModelParams):
-    """Exponential decay time (inverse CDF) plus the deterministic window flavour."""
-    u, _ = rng_stream.next_pair()
-    # 1 - u is uniform on (0, 1], so log1p(-u) never sees log(0)
-    t1 = float(-params.tau * np.log1p(-np.float64(u)))
-    code = int(flavour_window_codes(lam, t1, params))
-    return t1, Flavour(code)
-
-
-def sample_side2(rng_stream: EventStream, lam: float, params: ModelParams, max_iters: int = 10_000):
-    """Second decay: exponential proposal thinned by |cos|, sign fixes flavour."""
-    for _ in range(max_iters):
-        u_a, u_b = rng_stream.next_pair()
-        t = float(-params.tau * np.log1p(-np.float64(u_a)))
-        c = float(np.cos(np.float64(lam - params.delta_m * t)))
-        if u_b < abs(c):
-            return t, (Flavour.B0 if c > 0.0 else Flavour.B0BAR)
-    raise RejectionOverflowError("t2", lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +281,6 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
     n = config.n_events
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    # the table cache has no lock: built here, pool workers only read it
-    # instead of each building its own copy.  Building it before the result
-    # columns exist also keeps its large temporaries from stacking on top of
-    # them in the heap (a three-x scan peaked 24 MiB higher the other way).
-    rho_table(config.params)
     blocks = [(start, min(start + GENERATE_BLOCK_EVENTS, n))
               for start in range(0, n, GENERATE_BLOCK_EVENTS)]
     columns = {name: np.empty(n, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}

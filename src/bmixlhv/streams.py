@@ -13,11 +13,9 @@ top 53 bits each); the remaining words are discarded for simplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["EventStream", "philox4x64", "uniform_pair_block"]
+__all__ = ["philox4x64", "uniform_pair_block"]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
@@ -33,8 +31,6 @@ _M1_LO, _M1_HI = _M1 & _MASK32, _M1 >> _SHIFT32
 
 _U53_SHIFT = np.uint64(11)
 _U53_SCALE = 2.0**-53
-
-_UINT64_MAX = 2**64 - 1
 
 
 def _mulhi(x, m_lo, m_hi, out, a, b, t):
@@ -104,30 +100,3 @@ def uniform_pair_block(seed, event_indices, cursors):
     """One (u_a, u_b) uniform pair per event at the given cursor positions."""
     w0, w1, _, _ = philox4x64(seed, 0, cursors, 0, event_indices, 0)
     return _to_uniform(w0), _to_uniform(w1)
-
-
-@dataclass
-class EventStream:
-    """Scalar view of one event's substream; `cursor` counts blocks consumed."""
-
-    seed: int
-    event_index: int
-    cursor: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _UINT64_MAX:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if not 0 <= self.event_index <= _UINT64_MAX:
-            raise ValueError(f"event index must fit in 64 bits, got {self.event_index}")
-
-    def next_pair(self) -> tuple[float, float]:
-        u_a, u_b = uniform_pair_block(
-            self.seed,
-            np.asarray([self.event_index], dtype=np.uint64),
-            np.asarray([self.cursor], dtype=np.uint64),
-        )
-        self.cursor += 1
-        return float(u_a[0]), float(u_b[0])
-
-    def next_uniform(self) -> float:
-        return self.next_pair()[0]

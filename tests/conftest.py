@@ -19,8 +19,9 @@ BIG_N = 1_000_000
 BIG_SEED = 20260814
 SYM_SEED = 777000111
 
-# quadrature-backed properties can blow the default 200 ms deadline on their
-# first example (table construction), so the deadline is disabled
+# quadrature- and oracle-backed properties (the exact 1/N oracle sums some
+# 20 000 half-waves at x = 1e3) can blow the default 200 ms deadline on a
+# slow host, so the deadline is disabled
 settings.register_profile("quadrature", deadline=None)
 settings.load_profile("quadrature")
 

@@ -1,17 +1,27 @@
 """Independent slow-path oracles used to cross-check the package numerics.
 
-Everything here deliberately avoids the implementation's own code paths:
-window membership is decided by scanning integer branches, the second-side
-normalizer by summing exact antiderivatives between cosine sign changes,
-and the band probabilities by adaptive 2-D quadrature of the joint density.
-All oracles work in unit-lifetime time units (tau = 1).
+The numeric oracles deliberately avoid the implementation's own code
+paths: window membership is decided by scanning integer branches, the
+second-side normalizer by summing exact antiderivatives between cosine sign
+changes, and the band probabilities by adaptive 2-D quadrature of the joint
+density.  They work in unit-lifetime time units (tau = 1).
+
+The scalar samplers at the end are the other kind of reference: one event
+at a time, one stream block per draw, in the generator's draw order, so the
+vectorized batch columns must match them to the last ulp.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
+
+from bmixlhv.model import Flavour, ModelParams, flavour_window_codes, rho_table
+from bmixlhv.montecarlo import RejectionOverflowError
+from bmixlhv.streams import uniform_pair_block
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -190,3 +200,71 @@ def event_file_rows(batch) -> str:
         f"{labels[int(batch.flavour2[i])]},{int(batch.swapped[i])}\n"
         for i in range(len(batch))
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar samplers
+#
+# These mirror the batch stages draw for draw (and use numpy math on
+# length-1 arrays and numpy scalars, so even the last ulp matches the
+# vectorized path).
+
+_UINT64_MAX = 2**64 - 1
+
+
+@dataclass
+class EventStream:
+    """Scalar view of one event's substream; `cursor` counts blocks consumed."""
+
+    seed: int
+    event_index: int
+    cursor: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed <= _UINT64_MAX:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not 0 <= self.event_index <= _UINT64_MAX:
+            raise ValueError(f"event index must fit in 64 bits, got {self.event_index}")
+
+    def next_pair(self) -> tuple[float, float]:
+        u_a, u_b = uniform_pair_block(
+            self.seed,
+            np.asarray([self.event_index], dtype=np.uint64),
+            np.asarray([self.cursor], dtype=np.uint64),
+        )
+        self.cursor += 1
+        return float(u_a[0]), float(u_b[0])
+
+    def next_uniform(self) -> float:
+        return self.next_pair()[0]
+
+
+def sample_lambda(stream: EventStream, params: ModelParams, max_iters: int = 10_000) -> float:
+    """Draw the shared phase by rejection under the constant 1/4 envelope."""
+    rho = rho_table(params)
+    for _ in range(max_iters):
+        u_a, u_b = stream.next_pair()
+        prop = TWO_PI * u_a
+        if u_b < 4.0 * float(rho(np.array([prop]))[0]):
+            return prop
+    raise RejectionOverflowError("lambda")
+
+
+def sample_side1(stream: EventStream, lam: float, params: ModelParams):
+    """Exponential decay time (inverse CDF) plus the deterministic window flavour."""
+    u, _ = stream.next_pair()
+    # 1 - u is uniform on (0, 1], so log1p(-u) never sees log(0)
+    t1 = float(-params.tau * np.log1p(-np.float64(u)))
+    code = int(flavour_window_codes(lam, t1, params))
+    return t1, Flavour(code)
+
+
+def sample_side2(stream: EventStream, lam: float, params: ModelParams, max_iters: int = 10_000):
+    """Second decay: exponential proposal thinned by |cos|, sign fixes flavour."""
+    for _ in range(max_iters):
+        u_a, u_b = stream.next_pair()
+        t = float(-params.tau * np.log1p(-np.float64(u_a)))
+        c = float(np.cos(np.float64(lam - params.delta_m * t)))
+        if u_b < abs(c):
+            return t, (Flavour.B0 if c > 0.0 else Flavour.B0BAR)
+    raise RejectionOverflowError("t2", lam=lam)

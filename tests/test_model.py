@@ -1,4 +1,4 @@
-"""Model-layer tests: window law, densities, 1/N normalizer, cached table."""
+"""Model-layer tests: window law, densities, closed-form 1/N normalizer."""
 
 import math
 
@@ -10,7 +10,6 @@ from bmixlhv.model import (
     Flavour,
     ModelParams,
     PairEvent,
-    RhoMarginalTable,
     canonical_angle,
     flavour_window,
     flavour_window_codes,
@@ -167,54 +166,39 @@ def test_inverse_n_bounds(lam, dm):
     assert 0.0 < val <= 1.0
 
 
+@given(lam=lams, log_x=st.floats(min_value=-2.0, max_value=3.0))
+def test_inverse_n_matches_exact_antiderivative_sums(lam, log_x):
+    """The closed form against the segment-by-segment oracle over the whole
+    supported x range, 1e-2 to 1e3."""
+    x = 10.0**log_x
+    assert inverse_n(lam, ModelParams(1.0, x)) == pytest.approx(
+        inverse_n_exact(lam, x), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("x", [0.01, 0.776, 1000.0])
+def test_inverse_n_array_call_matches_scalar_calls(x):
+    params = ModelParams(1.0, x)
+    lam = np.random.default_rng(3).uniform(0.0, TWO_PI, size=257)
+    values = inverse_n(lam, params)
+    assert isinstance(values, np.ndarray) and values.shape == lam.shape
+    scalars = [inverse_n(float(l), params) for l in lam]
+    assert all(type(v) is float for v in scalars)
+    assert values.tolist() == scalars
+
+
 def test_rho_marginal_respects_envelope():
-    params = ModelParams(1.0, 0.776)
-    table = rho_table(params)
-    assert table.values.max() < 0.25
     dense = np.linspace(0.0, TWO_PI, 20_001)
-    assert np.max(table(dense)) < 0.25
+    for x in (0.01, 0.776, 1000.0):
+        assert np.max(rho_marginal(dense, ModelParams(1.0, x))) < 0.25
 
 
-# ---------------------------------------------------------------------------
-# cached table
-
-def test_table_knots_match_direct_quadrature():
-    params = ModelParams(1.0, 0.776)
-    table = rho_table(params)
-    rng = np.random.default_rng(7)
-    for i in rng.integers(0, table.lam_grid.size, size=40):
-        lam = float(table.lam_grid[i])
-        assert table.values[i] == pytest.approx(rho_marginal(lam, params), abs=1e-13)
-
-
-def test_table_interpolant_tracks_density_between_knots():
-    params = ModelParams(1.0, 0.776)
-    table = rho_table(params)
-    rng = np.random.default_rng(11)
-    lam = rng.uniform(0.0, TWO_PI, size=200)
-    worst = max(abs(float(table(l)) - rho_marginal(float(l), params)) for l in lam)
-    assert worst < 1e-7
-
-
-def test_table_wraps_periodically():
-    table = rho_table(ModelParams(1.0, 0.776))
-    assert table.values[-1] == table.values[0]
-    assert float(table(0.0)) == float(table(TWO_PI))
-
-
-def test_table_is_cached_per_params():
-    a = rho_table(ModelParams(1.0, 0.776))
-    b = rho_table(ModelParams(1.0, 0.776))
-    c = rho_table(ModelParams(1.0, 0.5))
-    assert a is b
-    assert a is not c
-    assert not a.values.flags.writeable
-
-
-def test_table_direct_construction_honours_point_count():
-    table = RhoMarginalTable(ModelParams(1.0, 2.0), n_points=128)
-    assert table.lam_grid.size == 129
-    assert table.lam_grid[0] == 0.0 and table.lam_grid[-1] == TWO_PI
+def test_rho_table_evaluates_the_closed_form_density():
+    params = ModelParams(2.0, 0.388)
+    rho = rho_table(params)
+    lam = np.linspace(0.0, TWO_PI, 65)
+    assert np.array_equal(rho(lam), rho_marginal(lam, params))
+    assert rho(1.3) == rho_marginal(1.3, params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,15 @@
 agreement of the sampled distributions with quadrature of the model laws."""
 
 import dataclasses
-import functools
 import hashlib
 import math
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from bmixlhv import model, montecarlo
+from bmixlhv import montecarlo
 from bmixlhv.model import Flavour, ModelParams
 from bmixlhv.montecarlo import (
     GENERATE_BLOCK_EVENTS,
@@ -25,15 +23,16 @@ from bmixlhv.montecarlo import (
     generate,
     generate_events,
     read_events,
+    write_events,
+)
+from bmixlhv.streams import uniform_pair_block
+from oracles import (
+    EventStream,
+    event_file_rows,
+    inverse_n_exact,
     sample_lambda,
     sample_side1,
     sample_side2,
-    write_events,
-)
-from bmixlhv.streams import EventStream, uniform_pair_block
-from oracles import (
-    event_file_rows,
-    inverse_n_exact,
     side2_bin_probability,
     side2_particle_probability,
 )
@@ -91,7 +90,6 @@ def test_blocks_reassemble_the_whole_range():
 def test_generate_memory_does_not_grow_with_n(workers):
     """Peak traced memory beyond the result's own columns stays flat from
     2 to 8 generation blocks; it once grew by about 167 bytes per event."""
-    generate(_config(n=1))  # the phase-density table is built outside the trace
     excess = {}
     for blocks in (2, 8):
         tracemalloc.start()
@@ -105,6 +103,25 @@ def test_generate_memory_does_not_grow_with_n(workers):
     assert growth_per_event < 8.0, excess
 
 
+@pytest.mark.parametrize("x", [1e-2, 1e3])
+def test_extreme_x_runs_in_bounded_memory(x):
+    """The ends of the supported x range generate with a few MiB of
+    temporaries (a tabulated phase density once needed gigabytes at
+    x = 1e3) and accept phases at the envelope rate 2/pi."""
+    n = 20_000
+    tracemalloc.start()
+    try:
+        batch = generate(_config(n=n, seed=41, dm=x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    excess = peak - sum(getattr(batch, name).nbytes for name in EVENT_BATCH_COLUMNS)
+    assert excess < 6 * 2**20, excess
+    p = 2.0 / math.pi
+    sigma = p * math.sqrt((1.0 - p) / n)
+    assert abs(batch.rng_stats.lambda_acceptance_rate - p) < 5.0 * sigma
+
+
 def test_scalar_samplers_reproduce_the_batch_columns():
     cfg = _config(n=5, seed=2024)
     batch = generate(cfg)
@@ -116,22 +133,6 @@ def test_scalar_samplers_reproduce_the_batch_columns():
         assert lam == batch.lam[i]
         assert t1 == batch.t1[i] and int(f1) == batch.flavour1[i]
         assert t2 == batch.t2[i] and int(f2) == batch.flavour2[i]
-
-
-def test_parallel_generate_builds_the_table_once(monkeypatch):
-    """The workers share one phase-density table instead of racing past the
-    unlocked cache and each building a copy."""
-    builds = []
-    real_cache = model._cached_table
-
-    def slow_build(params):
-        builds.append(params)
-        time.sleep(0.2)  # a real build takes seconds; the workers start meanwhile
-        return real_cache(params)
-
-    monkeypatch.setattr(model, "_cached_table", functools.lru_cache(maxsize=8)(slow_build))
-    generate(_config(n=GENERATE_BLOCK_EVENTS + 1), workers=2)  # two blocks
-    assert len(builds) == 1
 
 
 def test_generate_rejects_bad_worker_count():
@@ -475,6 +476,6 @@ def test_batch_indexing_and_iteration():
     assert ev.index == 3
     assert ev.lam == batch.lam[3] and ev.t2 == batch.t2[3]
     assert isinstance(ev.flavour1, Flavour)
-    assert len(list(batch)) == 7
+    assert len(batch) == 7
     assert batch != generate(_config(n=7, seed=78))
     assert (batch == object()) is False

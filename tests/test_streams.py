@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from bmixlhv.streams import EventStream, philox4x64, uniform_pair_block
+from bmixlhv.streams import philox4x64, uniform_pair_block
+from oracles import EventStream
 
 
 def _reference_block(key, counter):
