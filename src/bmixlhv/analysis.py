@@ -1,12 +1,12 @@
 """Binned-rate analysis of event batches against the closed-form predictions.
 
 The decay-lag distribution splits by flavour class (same/opposite); its
-density is exp(-dt/tau)(1 + (-1)^i cos(delta_m dt))/(2 tau), obtained from
-the joint density by integrating out the earlier decay time (which
-contributes the factor tau/2; validated against 2-D quadrature in the test
-suite).  Expected bin contents use the exact antiderivatives rather than
-midpoint values, so a sample whose counts equal the expectations exactly
-recovers delta_m exactly.
+density is exp(-dt/tau)(1 + (-1)^i cos(delta_m dt))/(2 tau), twice
+:func:`bmixlhv.quantum.conditional_rate`: integrating out the earlier decay
+time of the joint density contributes the factor tau/2 (validated against
+2-D quadrature in the test suite).  Expected bin contents use the exact
+antiderivatives rather than midpoint values, so a sample whose counts equal
+the expectations exactly recovers delta_m exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "FitResult",
     "bin_events",
     "bin_table",
-    "delta_t_density",
     "expected_counts",
     "goodness_of_fit",
     "two_sample_chi2",
@@ -37,7 +36,7 @@ MIN_EXPECTED_PER_BIN = 10.0
 
 
 class FitRefusedError(ValueError):
-    """Not enough populated bins to attempt a fit."""
+    """Too few populated bins, or bins too wide, to attempt a fit."""
 
 
 @dataclass(frozen=True)
@@ -137,19 +136,6 @@ def bin_events(batch: EventBatch, edges) -> BinnedRates:
     )
 
 
-def delta_t_density(i: int, delta_t, params: ModelParams):
-    """Probability density of (class i, lag dt); both classes sum to the
-    plain exponential exp(-dt/tau)/tau."""
-    dt = np.asarray(delta_t, dtype=float)
-    sign = -1.0 if i % 2 else 1.0
-    out = (
-        np.exp(-dt / params.tau)
-        * (1.0 + sign * np.cos(params.delta_m * dt))
-        / (2.0 * params.tau)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def _exp_segment(a, b, tau: float):
     # integral of exp(-t/tau) over [a, b]
     return tau * (np.exp(-a / tau) - np.exp(-b / tau))
@@ -179,8 +165,9 @@ def expected_counts(i: int, edges, n_total: int, params: ModelParams) -> np.ndar
     return n_total * probs
 
 
-def _merge_groups(exp_same, exp_opp, min_expected):
-    """Contiguous bin groups, each with both class expectations >= threshold.
+def _merge_groups(exp_same, exp_opp):
+    """Contiguous bin groups, each with both class expectations at least
+    :data:`MIN_EXPECTED_PER_BIN`.
 
     Deficient bins are merged rightward; a deficient trailing remainder is
     folded into the last complete group.  Returns a list of (start, stop)
@@ -193,7 +180,7 @@ def _merge_groups(exp_same, exp_opp, min_expected):
     for j in range(nbins):
         acc_same += exp_same[j]
         acc_opp += exp_opp[j]
-        if acc_same >= min_expected and acc_opp >= min_expected:
+        if acc_same >= MIN_EXPECTED_PER_BIN and acc_opp >= MIN_EXPECTED_PER_BIN:
             groups.append((start, j + 1))
             start = j + 1
             acc_same = acc_opp = 0.0
@@ -205,27 +192,46 @@ def _merge_groups(exp_same, exp_opp, min_expected):
     return groups
 
 
-def goodness_of_fit(
-    binned: BinnedRates,
-    params: ModelParams,
-    min_expected: float = MIN_EXPECTED_PER_BIN,
-) -> FitResult:
+def _asymmetry(n_same, n_opp):
+    """(opposite - same) / total per bin and its binomial variance
+    (1 - asym^2) / total, floored at 1/total where that vanishes.  An empty
+    bin gives NaN for both."""
+    total = n_same + n_opp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        asym = (n_opp - n_same) / total
+        variance = (1.0 - asym**2) / total
+        # a NaN variance (empty bin) fails the test and stays NaN
+        return asym, np.where(variance <= 0.0, 1.0 / total, variance)
+
+
+def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     """Pearson chi-square per flavour class plus a one-parameter delta_m fit.
 
     Bins are merged rightward until each group carries at least
-    ``min_expected`` expected events in both classes; the same groups serve
-    both chi-square statistics and the asymmetry fit, and the expectations
-    are normalized to each class's observed in-range total (shape
-    comparison).  dof = groups - 2: one for that normalization, one for the
-    fitted delta_m.  The fit minimizes the weighted squared difference
-    between per-group asymmetries and their exact group-averaged model
-    values, scanning delta_m on [0.5, 1.5] times the reference and refining
-    by golden section.
+    :data:`MIN_EXPECTED_PER_BIN` expected events in both classes; the same
+    groups serve both chi-square statistics and the asymmetry fit, and the
+    expectations are normalized to each class's observed in-range total
+    (shape comparison).  dof = groups - 2: one for that normalization, one
+    for the fitted delta_m.  The fit minimizes the weighted squared
+    difference between per-group asymmetries and their exact group-averaged
+    model values, scanning delta_m on [0.5, 1.5] times the reference and
+    refining by golden section.
+
+    Refused when a bin is wider than half an oscillation period, pi/delta_m:
+    the binned asymmetry then aliases and the fit converges on a wrong
+    delta_m without a sign of it in the chi-square.
     """
     edges = binned.edges
+    width = float(np.diff(edges).max())
+    limit = math.pi / params.delta_m
+    if width > limit:
+        raise FitRefusedError(
+            f"lag bins up to {width:.4g} wide exceed half an oscillation period, "
+            f"pi/delta_m = {limit:.4g}; the asymmetry fit would alias"
+        )
     exp_same = expected_counts(1, edges, binned.n_total, params)
     exp_opp = expected_counts(2, edges, binned.n_total, params)
-    groups = _merge_groups(exp_same, exp_opp, min_expected)
+    groups = _merge_groups(exp_same, exp_opp)
     if len(groups) < 3:
         raise FitRefusedError(
             f"only {len(groups)} usable bin groups after merging; need at least 3"
@@ -247,12 +253,9 @@ def goodness_of_fit(
     chi2_opp = pearson(obs_opp, mod_opp)
     dof = len(groups) - 2
 
-    totals = obs_same + obs_opp
-    if np.any(totals == 0.0):
+    if np.any(obs_same + obs_opp == 0.0):
         raise FitRefusedError("a merged group contains no events")
-    asym = (obs_opp - obs_same) / totals
-    variance = (1.0 - asym**2) / totals
-    variance = np.where(variance > 0.0, variance, 1.0 / totals)
+    asym, variance = _asymmetry(obs_same, obs_opp)
 
     tau = params.tau
     exp_seg = _exp_segment(group_lo, group_hi, tau)
@@ -295,31 +298,20 @@ def bin_table(binned: BinnedRates, params: ModelParams) -> list[dict]:
     """Per-bin comparison rows: counts, expectations, asymmetry with error."""
     exp_same = expected_counts(1, binned.edges, binned.n_total, params)
     exp_opp = expected_counts(2, binned.edges, binned.n_total, params)
-    rows = []
-    for j in range(binned.edges.size - 1):
-        n_same = binned.counts_same[j]
-        n_opp = binned.counts_opposite[j]
-        total = n_same + n_opp
-        if total > 0.0:
-            asym = (n_opp - n_same) / total
-            var = (1.0 - asym**2) / total
-            asym_err = math.sqrt(var) if var > 0.0 else math.sqrt(1.0 / total)
-        else:
-            asym = math.nan
-            asym_err = math.nan
-        rows.append(
-            {
-                "dt_lo": float(binned.edges[j]),
-                "dt_hi": float(binned.edges[j + 1]),
-                "n_same": float(n_same),
-                "n_opp": float(n_opp),
-                "exp_same": float(exp_same[j]),
-                "exp_opp": float(exp_opp[j]),
-                "asym": asym,
-                "asym_err": asym_err,
-            }
-        )
-    return rows
+    asym, variance = _asymmetry(binned.counts_same, binned.counts_opposite)
+    return [
+        {
+            "dt_lo": float(binned.edges[j]),
+            "dt_hi": float(binned.edges[j + 1]),
+            "n_same": float(binned.counts_same[j]),
+            "n_opp": float(binned.counts_opposite[j]),
+            "exp_same": float(exp_same[j]),
+            "exp_opp": float(exp_opp[j]),
+            "asym": float(asym[j]),
+            "asym_err": math.sqrt(variance[j]),
+        }
+        for j in range(binned.edges.size - 1)
+    ]
 
 
 def two_sample_chi2(a: BinnedRates, b: BinnedRates) -> tuple[float, int]:

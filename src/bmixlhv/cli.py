@@ -19,7 +19,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ DEFAULT_X = 0.776
 DEFAULT_EVENTS = 100_000
 DEFAULT_SEED = 20_260_814
 DEFAULT_BINS = 50
+DEFAULT_DT_MAX_LIFETIMES = 5.0
 DEFAULT_OUT = Path("out")
 
 _CONFIG_SECTIONS = {
@@ -63,7 +64,7 @@ class RunConfig:
     seed: int
     symmetrized: bool
     bins: int
-    dt_max: float | None  # physical units; None means 5 * tau
+    dt_max: float | None  # physical units; None means DEFAULT_DT_MAX_LIFETIMES * tau
     out_dir: Path
     formats: tuple[str, ...]
     threads: int
@@ -80,8 +81,9 @@ class RunConfig:
     def physical_params(self) -> ModelParams:
         return ModelParams(self.tau, self.delta_m)
 
-    def resolved_dt_max(self) -> float:
-        return self.dt_max if self.dt_max is not None else 5.0 * self.tau
+    def dt_max_for(self, tau: float) -> float:
+        """Histogram upper edge in the units of ``tau``."""
+        return self.dt_max if self.dt_max is not None else DEFAULT_DT_MAX_LIFETIMES * tau
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_binning(sp):
         sp.add_argument("--bins", type=int, help="number of lag bins (default: 50)")
         sp.add_argument("--dt-max", type=float, dest="dt_max",
-                        help="histogram upper edge (default: 5 tau)")
+                        help=f"histogram upper edge (default: {DEFAULT_DT_MAX_LIFETIMES:g} tau)")
 
     sp = sub.add_parser("verify", help="run the quadrature identity suite")
     add_common(sp)
@@ -291,18 +293,15 @@ def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
 
 
 def _rescale_batch(batch: EventBatch, scale: float, fingerprint: str) -> EventBatch:
-    """Convert internal (tau = 1) decay times to physical units."""
-    return EventBatch(
-        index=batch.index,
-        lam=batch.lam,
-        t1=batch.t1 * scale,
-        flavour1=batch.flavour1,
-        t2=batch.t2 * scale,
-        flavour2=batch.flavour2,
-        swapped=batch.swapped,
-        config_fingerprint=fingerprint,
-        rng_stats=batch.rng_stats,
-    )
+    """Multiply both decay-time columns by ``scale``."""
+    return replace(batch, t1=batch.t1 * scale, t2=batch.t2 * scale, config_fingerprint=fingerprint)
+
+
+def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: float):
+    """Histogram the lags of an internal-unit batch in ``bins`` bins over
+    [0, dt_max] and fit them; raises :class:`analysis.FitRefusedError`."""
+    binned = analysis.bin_events(batch, np.linspace(0.0, dt_max, bins + 1))
+    return binned, analysis.goodness_of_fit(binned, params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +315,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             for c in checks]
     tree = {
         "params": {"tau": cfg.tau, "delta_m": cfg.delta_m, "x": cfg.x},
-        "checks": [
-            {"name": c.name, "target": c.target, "computed": c.computed,
-             "residual": c.residual, "tolerance": c.tolerance, "passed": c.passed}
-            for c in checks
-        ],
+        "checks": [dict(zip(headers, row)) for row in rows],
         "summary": {
             "n_checks": len(checks),
             "n_failures": len(report.failures),
@@ -418,11 +413,9 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     internal_batch = (
         batch if scale == 1.0 else _rescale_batch(batch, 1.0 / scale, batch.config_fingerprint)
     )
-    dt_max = cfg.dt_max if cfg.dt_max is not None else 5.0 * scale
-    edges = np.linspace(0.0, dt_max / scale, cfg.bins + 1)
-    binned = analysis.bin_events(internal_batch, edges)
+    dt_max = cfg.dt_max_for(scale)
     try:
-        fit = analysis.goodness_of_fit(binned, internal)
+        binned, fit = _bin_and_fit(internal_batch, internal, cfg.bins, dt_max / scale)
     except analysis.FitRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -456,6 +449,7 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
             reporting.csv_columns(bin_headers, bin_rows, fingerprint, **common_fields),
         )
 
+        edges = binned.edges
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
         n_total = binned.n_total
@@ -521,6 +515,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
                "fitted_delta_m_error", "chi2_dof_same", "chi2_dof_opposite", "status")
     rows = []
     all_ok = True
+    dt_max = cfg.dt_max_for(1.0)
     for x in x_values:
         params = ModelParams(1.0, x)
         try:
@@ -528,10 +523,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
             sim = SimConfig(params=params, n_events=cfg.n_events, seed=cfg.seed,
                             symmetrized=cfg.symmetrized)
             batch = montecarlo.generate(sim, workers=cfg.threads)
-            dt_max = cfg.dt_max if cfg.dt_max is not None else 5.0
-            edges = np.linspace(0.0, dt_max, cfg.bins + 1)
-            binned = analysis.bin_events(batch, edges)
-            fit = analysis.goodness_of_fit(binned, params)
+            _, fit = _bin_and_fit(batch, params, cfg.bins, dt_max)
         except (verification.QuadratureError, montecarlo.RejectionOverflowError,
                 analysis.FitRefusedError) as exc:
             rows.append((x, math.nan, False, math.nan, math.nan, math.nan, math.nan,
@@ -554,7 +546,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
             "seed": cfg.seed,
             "symmetrized": cfg.symmetrized,
             "bins": cfg.bins,
-            "dt_max": cfg.dt_max if cfg.dt_max is not None else 5.0,
+            "dt_max": dt_max,
         }
     )
     tree = {

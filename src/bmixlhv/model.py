@@ -26,7 +26,6 @@ __all__ = [
     "Flavour",
     "ModelParams",
     "PairEvent",
-    "canonical_angle",
     "flavour_window",
     "flavour_window_codes",
     "p_density",
@@ -107,18 +106,15 @@ class PairEvent:
             raise ValueError("decay times must be nonnegative")
 
 
-def canonical_angle(theta):
-    """Reduce an angle to the canonical interval [0, 2pi).
+def _window_b0bar(lam, t, params: ModelParams):
+    """The window rule: true where phi = (lam - delta_m * t) mod 2pi lies in
+    [0, pi/2) u [3pi/2, 2pi), the B0bar window.
 
-    Accepts scalars or arrays.  ``np.mod`` already maps negatives into the
-    positive branch; the extra clamp catches the rounding case where a tiny
-    negative input lands exactly on 2pi.
+    Operators only, so a float gives a bool and an array a bool array.  A
+    tiny negative phase that rounds onto 2pi still lands in the B0bar window.
     """
-    phi = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    phi = np.where(phi >= TWO_PI, 0.0, phi)
-    if phi.ndim == 0:
-        return float(phi)
-    return phi
+    phi = (lam - params.delta_m * t) % TWO_PI
+    return (phi < HALF_PI) | (phi >= THREE_HALF_PI)
 
 
 def flavour_window(lam, t, params: ModelParams) -> Flavour:
@@ -129,17 +125,12 @@ def flavour_window(lam, t, params: ModelParams) -> Flavour:
     B0 on [pi/2, 3pi/2).  The half-open convention settles the
     measure-zero boundary ties.
     """
-    phi = canonical_angle(lam - params.delta_m * t)
-    if phi < HALF_PI or phi >= THREE_HALF_PI:
-        return Flavour.B0BAR
-    return Flavour.B0
+    return Flavour.B0BAR if _window_b0bar(lam, t, params) else Flavour.B0
 
 
 def flavour_window_codes(lam, t, params: ModelParams) -> np.ndarray:
     """Vectorized :func:`flavour_window`; returns int8 codes (Flavour values)."""
-    phi = np.mod(np.asarray(lam, dtype=float) - params.delta_m * np.asarray(t, dtype=float), TWO_PI)
-    b0bar = (phi < HALF_PI) | (phi >= THREE_HALF_PI)
-    return np.where(b0bar, np.int8(Flavour.B0BAR), np.int8(Flavour.B0))
+    return np.where(_window_b0bar(lam, t, params), np.int8(Flavour.B0BAR), np.int8(Flavour.B0))
 
 
 def p_density(k, lam, t, params: ModelParams) -> float:
@@ -149,7 +140,7 @@ def p_density(k, lam, t, params: ModelParams) -> float:
     window, so this is exp(-t/tau)/tau on the matching flavour and zero on
     the other; summed over flavours it is the plain exponential law.
     """
-    if flavour_window(lam, t, params) is not Flavour(k):
+    if (k == Flavour.B0BAR) != _window_b0bar(lam, t, params):
         return 0.0
     return math.exp(-t / params.tau) / params.tau
 
@@ -163,7 +154,7 @@ def q_shape(l, lam, t, params: ModelParams) -> float:
     |cos|, which is what :func:`inverse_n` integrates.
     """
     c = math.cos(lam - params.delta_m * t)
-    if Flavour(l) is Flavour.B0BAR:
+    if l == Flavour.B0BAR:
         c = -c
     return math.exp(-t / params.tau) * max(c, 0.0)
 

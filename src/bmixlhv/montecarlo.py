@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .model import (
     flavour_window_codes,
     rho_table,
 )
-from .reporting import open_atomic
+from .reporting import comment_header, format_value, open_atomic
 from .streams import uniform_pair_block
 
 __all__ = [
@@ -111,16 +111,22 @@ class SimConfig:
             raise ValueError("max_rejection_iters must be at least 1")
 
 
+def _config_fields(config: SimConfig) -> dict:
+    """The configuration as the ordered fields of its canonical text form,
+    which the fingerprint hashes and the event-file header repeats."""
+    return {
+        "tau": config.params.tau,
+        "delta_m": config.params.delta_m,
+        "n_events": config.n_events,
+        "seed": config.seed,
+        "symmetrized": config.symmetrized,
+        "max_rejection_iters": config.max_rejection_iters,
+    }
+
+
 def config_fingerprint(config: SimConfig) -> str:
     """sha256 over the canonical text form of the configuration."""
-    text = (
-        f"tau={config.params.tau!r}\n"
-        f"delta_m={config.params.delta_m!r}\n"
-        f"n_events={config.n_events}\n"
-        f"seed={config.seed}\n"
-        f"symmetrized={int(config.symmetrized)}\n"
-        f"max_rejection_iters={config.max_rejection_iters}\n"
-    )
+    text = "".join(f"{key}={format_value(val)}\n" for key, val in _config_fields(config).items())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -137,6 +143,11 @@ class RngStats:
         object.__setattr__(self, "t2_acceptance_rate", float(self.t2_acceptance_rate))
         object.__setattr__(self, "lambda_proposals", int(self.lambda_proposals))
         object.__setattr__(self, "t2_proposals", int(self.t2_proposals))
+
+    @classmethod
+    def from_proposals(cls, n: int, lambda_proposals: int, t2_proposals: int) -> "RngStats":
+        """Stats of ``n`` accepted events drawn from the given proposal counts."""
+        return cls(n / lambda_proposals, n / t2_proposals, lambda_proposals, t2_proposals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,17 +249,17 @@ def _generate_range(config: SimConfig, start: int, stop: int):
         swapped = u_a < 0.5
         t1, t2 = np.where(swapped, t2, t1), np.where(swapped, t1, t2)
         flavour1, flavour2 = (
-            np.where(swapped, flavour2, flavour1).astype(np.int8),
-            np.where(swapped, flavour1, flavour2).astype(np.int8),
+            np.where(swapped, flavour2, flavour1),
+            np.where(swapped, flavour1, flavour2),
         )
 
     columns = {
         "index": idx,
         "lam": lam,
         "t1": t1,
-        "flavour1": flavour1.astype(np.int8),
+        "flavour1": flavour1,
         "t2": t2,
-        "flavour2": flavour2.astype(np.int8),
+        "flavour2": flavour2,
         "swapped": swapped,
     }
     return columns, lambda_proposals, t2_proposals
@@ -261,17 +272,16 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     if start == stop:
         raise ValueError("empty event range")
     columns, lam_props, t2_props = _generate_range(config, start, stop)
-    n = stop - start
     return EventBatch(
         **columns,
         config_fingerprint=config_fingerprint(config),
-        rng_stats=RngStats(n / lam_props, n / t2_props, lam_props, t2_props),
+        rng_stats=RngStats.from_proposals(stop - start, lam_props, t2_props),
     )
 
 
 def generate(config: SimConfig, workers: int = 1) -> EventBatch:
     """Generate the full batch in blocks of :data:`GENERATE_BLOCK_EVENTS`
-    events, optionally spread over a thread pool.
+    events on a pool of at most ``workers`` threads.
 
     Each block runs :func:`generate_events` and fills its own slice of the
     result columns, so peak temporary memory is set by the block size and
@@ -292,17 +302,13 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
             column[start:stop] = getattr(part, name)
         return part.rng_stats
 
-    if workers == 1:
-        stats = list(map(fill, blocks))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            stats = list(pool.map(fill, blocks))
-    lam_props = sum(s.lambda_proposals for s in stats)
-    t2_props = sum(s.t2_proposals for s in stats)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        stats = list(pool.map(fill, blocks))
     return EventBatch(
         **columns,
         config_fingerprint=config_fingerprint(config),
-        rng_stats=RngStats(n / lam_props, n / t2_props, lam_props, t2_props),
+        rng_stats=RngStats.from_proposals(n, sum(s.lambda_proposals for s in stats),
+                                          sum(s.t2_proposals for s in stats)),
     )
 
 
@@ -310,25 +316,9 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
 # event file round trip
 
 def _header_lines(config: SimConfig, batch: EventBatch) -> list[str]:
-    lines = [
-        f"# fingerprint={batch.config_fingerprint}",
-        f"# tau={config.params.tau!r}",
-        f"# delta_m={config.params.delta_m!r}",
-        f"# n_events={config.n_events}",
-        f"# seed={config.seed}",
-        f"# symmetrized={int(config.symmetrized)}",
-        f"# max_rejection_iters={config.max_rejection_iters}",
-    ]
-    if batch.rng_stats is not None:
-        stats = batch.rng_stats
-        lines += [
-            f"# lambda_acceptance_rate={stats.lambda_acceptance_rate!r}",
-            f"# t2_acceptance_rate={stats.t2_acceptance_rate!r}",
-            f"# lambda_proposals={stats.lambda_proposals}",
-            f"# t2_proposals={stats.t2_proposals}",
-        ]
-    lines.append("# columns=" + ",".join(EVENT_COLUMNS))
-    return lines
+    stats = asdict(batch.rng_stats) if batch.rng_stats is not None else {}
+    return comment_header(batch.config_fingerprint, **_config_fields(config), **stats,
+                          columns=",".join(EVENT_COLUMNS))
 
 
 def write_events(batch: EventBatch, config: SimConfig, path) -> None:

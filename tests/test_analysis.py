@@ -10,14 +10,12 @@ from bmixlhv.analysis import (
     FitRefusedError,
     bin_events,
     bin_table,
-    delta_t_density,
     expected_counts,
     goodness_of_fit,
     two_sample_chi2,
 )
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import EventBatch, SimConfig, generate
-from bmixlhv.quantum import conditional_rate
 from oracles import delta_t_bin_probability
 
 DEFAULT = ModelParams(tau=1.0, delta_m=0.776)
@@ -136,17 +134,6 @@ def test_expected_counts_small_bin_scaling():
     assert opp == pytest.approx(n * eps * (1.0 - 0.5 * eps), rel=1e-4)
 
 
-def test_delta_t_density_is_twice_the_conditional_rate():
-    dt = np.linspace(0.0, 6.0, 200)
-    for i in (1, 2):
-        assert np.allclose(
-            delta_t_density(i, dt, DEFAULT),
-            2.0 * conditional_rate(i, dt, DEFAULT),
-            rtol=1e-15,
-            atol=0.0,
-        )
-
-
 # ---------------------------------------------------------------------------
 # goodness of fit
 
@@ -205,6 +192,16 @@ def test_fit_recovers_delta_m_from_samples(small_batch):
 def test_fit_refuses_starved_histograms():
     with pytest.raises(FitRefusedError):
         goodness_of_fit(_exact_binned(n=20), DEFAULT)
+
+
+def test_fit_refuses_bins_wider_than_half_a_period():
+    # at x = 1000 a 0.1-lifetime bin spans 16 oscillation periods: the binned
+    # asymmetry aliases, so even exact counts must not be fitted
+    fast = ModelParams(tau=1.0, delta_m=1000.0)
+    with pytest.raises(FitRefusedError, match=r"up to 0\.1 wide .* pi/delta_m = 0\.003142;"):
+        goodness_of_fit(_exact_binned(bins=50, dt_max=5.0, params=fast), fast)
+    fit = goodness_of_fit(_exact_binned(bins=50, dt_max=0.02, params=fast), fast)
+    assert fit.fitted_delta_m == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_trailing_sparse_bins_are_merged():

@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, precedence, units, byte-stable output."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -125,6 +127,32 @@ def test_analyze_adopts_file_parameters(tmp_path):
 
 # ---------------------------------------------------------------------------
 # reproducibility
+
+# sha256 of the analysis artifacts of a small physical-units run, pinned so
+# that any change of their bytes is deliberate.  The run rescales times
+# (tau = 1.5), has bins whose asymmetry variance hits its 1/total floor, and
+# 29 empty bins that report NaN.
+GOLDEN_ANALYSIS_SHA256 = {
+    "analysis_bins.csv": "cdc539cefa27eae31800f0d7d87b1affb55dd59f0110097f282d5df00c7988d9",
+    "analysis_curves.csv": "a467083c0ce36db8986f962a1b9a2564b47f2d482fdd8dcea40d9573a0a4a121",
+    "analysis_fit.csv": "de4b2bfbc35aa4256bac6fe479d9cf8da95ef20469864c9969fa5c06565902b1",
+    "analysis_fit.txt": "733f699f79f1e45cc490635782038dbd2408226022f875907c866da2598c7983",
+    "analysis_fit.yaml": "5dd03921e3cd235ee278f9855f17acec68dea0f6cdd9e5dbc27027e913aacc80",
+}
+
+
+def test_analysis_golden_digests(tmp_path):
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    assert run("simulate", "--tau", 1.5, "--delta-m", 0.5, "--events", 3000,
+               "--seed", 5, "--out", sim) == 0
+    assert run("analyze", sim / "events.csv", "--bins", 200, "--out", fit) == 0
+    bins = np.loadtxt(fit / "analysis_bins.csv", delimiter=",", comments="#",
+                      skiprows=6, ndmin=2)
+    assert np.count_nonzero(bins[:, 2] + bins[:, 3] == 0.0) == 29
+    assert np.isnan(bins[bins[:, 2] + bins[:, 3] == 0.0, 6:]).all()
+    digests = {name: hashlib.sha256((fit / name).read_bytes()).hexdigest()
+               for name in GOLDEN_ANALYSIS_SHA256}
+    assert digests == GOLDEN_ANALYSIS_SHA256
 
 def test_simulation_bytes_are_reproducible(tmp_path):
     args = ("simulate", "--x", 0.776, "--events", 2000, "--seed", 11)
@@ -286,6 +314,20 @@ def test_analyze_runtime_failures_exit_1(tmp_path, capsys):
     # too few events to populate three groups: the fit must refuse, not lie
     assert run("analyze", sim / "events.csv", "--out", tmp_path / "f2") == 1
     assert "group" in capsys.readouterr().err
+
+
+def test_analyze_refuses_aliased_bins(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--x", 1000, "--events", 20000, "--seed", 1, "--out", sim) == 0
+    capsys.readouterr()
+    # the default 0.1-lifetime bins span 16 periods at x = 1000
+    assert run("analyze", sim / "events.csv", "--out", tmp_path / "f1") == 1
+    err = capsys.readouterr().err
+    assert "lag bins up to 0.1 wide exceed half an oscillation period" in err
+    assert "pi/delta_m = 0.003142;" in err
+    assert not (tmp_path / "f1").exists()
+    assert run("analyze", sim / "events.csv", "--dt-max", 0.02, "--bins", 50,
+               "--out", tmp_path / "f2") == 0
 
 
 def test_corrupted_event_file_exits_2(tmp_path, capsys):
