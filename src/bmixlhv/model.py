@@ -9,9 +9,11 @@ With the phase distributed as ``rho_marginal``, the pair statistics
 reproduce the standard flavour-oscillation formulas exactly (verified by
 quadrature in :mod:`bmixlhv.verification`).
 
-All functions here are pure.  The normalizer 1/N(lambda) has an
-elementary closed form (:func:`inverse_n`), which the sampler evaluates
-directly on whole arrays of proposed phases.
+All functions here are pure and built from numpy operators, so one code
+path takes a scalar (giving a scalar) or broadcasts over arrays: the
+verification quadrature evaluates the densities on whole node arrays.  The
+normalizer 1/N(lambda) has an elementary closed form (:func:`inverse_n`),
+which the sampler evaluates directly on whole arrays of proposed phases.
 """
 
 from __future__ import annotations
@@ -133,30 +135,29 @@ def flavour_window_codes(lam, t, params: ModelParams) -> np.ndarray:
     return np.where(_window_b0bar(lam, t, params), np.int8(Flavour.B0BAR), np.int8(Flavour.B0))
 
 
-def p_density(k, lam, t, params: ModelParams) -> float:
+def p_density(k, lam, t, params: ModelParams):
     """First-side density in (flavour, time) given the hidden phase.
 
     The time is exponential with mean tau and the flavour is fixed by the
     window, so this is exp(-t/tau)/tau on the matching flavour and zero on
     the other; summed over flavours it is the plain exponential law.
+    Operators only: scalars give a scalar, arrays broadcast.
     """
-    if (k == Flavour.B0BAR) != _window_b0bar(lam, t, params):
-        return 0.0
-    return math.exp(-t / params.tau) / params.tau
+    matches = (k == Flavour.B0BAR) == _window_b0bar(lam, t, params)
+    return matches * np.exp(-t / params.tau) / params.tau
 
 
-def q_shape(l, lam, t, params: ModelParams) -> float:
+def q_shape(l, lam, t, params: ModelParams):
     """Second-side decay shape, without the 1/N(lam) normalization.
 
     exp(-t/tau) * [cos(lam - delta_m*t)]_+ for B0 and the same with the
     cosine negated for B0bar ([x]_+ = max(x, 0)).  The full second-side law
     is N(lam) * q_shape; summed over flavours the clipped cosines merge into
-    |cos|, which is what :func:`inverse_n` integrates.
+    |cos|, which is what :func:`inverse_n` integrates.  Operators only:
+    scalars give a scalar, arrays broadcast.
     """
-    c = math.cos(lam - params.delta_m * t)
-    if l == Flavour.B0BAR:
-        c = -c
-    return math.exp(-t / params.tau) * max(c, 0.0)
+    sign = 1 - 2 * (l == Flavour.B0BAR)
+    return np.exp(-t / params.tau) * np.maximum(sign * np.cos(lam - params.delta_m * t), 0.0)
 
 
 def inverse_n(lam, params: ModelParams):

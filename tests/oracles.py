@@ -3,8 +3,10 @@
 The numeric oracles deliberately avoid the implementation's own code
 paths: window membership is decided by scanning integer branches, the
 second-side normalizer by summing exact antiderivatives between cosine sign
-changes, and the band probabilities by adaptive 2-D quadrature of the joint
-density.  They work in unit-lifetime time units (tau = 1).
+changes, the band probabilities by adaptive 2-D quadrature of the joint
+density, and the verification integrals by adaptive quadrature with
+breakpoints (:func:`adaptive_quad`).  They work in unit-lifetime time units
+(tau = 1).
 
 The scalar samplers at the end are the other kind of reference: one event
 at a time, one stream block per draw, in the generator's draw order, so the
@@ -14,6 +16,7 @@ vectorized batch columns must match them to the last ulp.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +191,21 @@ def side2_particle_probability(lam: float, delta_m: float, t_max: float = 60.0) 
         if math.cos(lam - dm * 0.5 * (a + b)) > 0.0:
             total += antider(b) - antider(a)
     return total / inverse_n_exact(lam, dm, t_max)
+
+
+def adaptive_quad(integrand, a: float, b: float, points=(), tol: float = 1e-12) -> float:
+    """scipy's adaptive quadrature of a scalar integrand with breakpoints at
+    ``points``; a convergence warning or an error estimate above 100 * tol
+    raises instead of passing silently.  The independent check of the
+    package's fixed-order rule."""
+    points = sorted(p for p in points if a < p < b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        val, err = integrate.quad(integrand, a, b, points=points or None,
+                                  limit=4 * len(points) + 100, epsabs=tol, epsrel=tol)
+    if err > 100.0 * tol:
+        raise RuntimeError(f"adaptive quadrature error {err!r} too large")
+    return val
 
 
 def event_file_rows(batch) -> str:

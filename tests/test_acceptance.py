@@ -60,7 +60,7 @@ def test_criterion_2_normalization_identities(capsys):
     all_passed = True
     for x in X_VALUES:
         start = time.perf_counter()
-        report = check_normalizations(ModelParams(1.0, x), lambda_samples=64)
+        report = check_normalizations(ModelParams(1.0, x))
         slowest = max(slowest, time.perf_counter() - start)
         worst = max(worst, report.max_residual)
         all_passed = all_passed and report.all_passed

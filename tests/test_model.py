@@ -118,14 +118,15 @@ def test_density_examples():
 def test_first_side_flavours_sum_to_exponential(lam, t, dm):
     params = ModelParams(tau=1.0, delta_m=dm)
     total = p_density(1, lam, t, params) + p_density(2, lam, t, params)
-    assert total == math.exp(-t)
+    # numpy's exp, which evaluates the law, may differ from libm's in the last ulp
+    assert total == np.exp(-t)
 
 
 @given(lam=lams, t=times, dm=dms)
 def test_second_side_flavours_sum_to_rectified_cosine(lam, t, dm):
     params = ModelParams(tau=1.0, delta_m=dm)
     total = q_shape(1, lam, t, params) + q_shape(2, lam, t, params)
-    assert total == math.exp(-t) * abs(math.cos(lam - dm * t))
+    assert total == np.exp(-t) * abs(math.cos(lam - dm * t))
 
 
 @given(lam=lams, t=times, dm=dms)
