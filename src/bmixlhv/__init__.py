@@ -10,7 +10,7 @@ analysis (:mod:`bmixlhv.analysis`), and a command-line front end
 (:mod:`bmixlhv.cli`).
 """
 
-from .model import Flavour, ModelParams, PairEvent
+from .model import Flavour, ModelParams
 from .montecarlo import EventBatch, SimConfig, generate
 from .verification import QuadratureReport, full_verification
 
@@ -20,7 +20,6 @@ __all__ = [
     "EventBatch",
     "Flavour",
     "ModelParams",
-    "PairEvent",
     "QuadratureReport",
     "SimConfig",
     "full_verification",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .model import ModelParams
 from .montecarlo import EventBatch
@@ -29,7 +29,6 @@ __all__ = [
     "bin_table",
     "expected_counts",
     "goodness_of_fit",
-    "two_sample_chi2",
 ]
 
 MIN_EXPECTED_PER_BIN = 10.0
@@ -93,25 +92,6 @@ class FitResult:
     p_value_same: float
     p_value_opposite: float
     n_groups: int
-
-    def __post_init__(self) -> None:
-        # plain python scalars so downstream repr()/yaml emission stays clean
-        for name in (
-            "chi2_same",
-            "chi2_opposite",
-            "fitted_delta_m",
-            "fitted_delta_m_error",
-            "p_value_same",
-            "p_value_opposite",
-        ):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "dof", int(self.dof))
-        object.__setattr__(self, "n_groups", int(self.n_groups))
-        if self.dof < 1:
-            raise ValueError("dof must be at least 1")
-        for p in (self.p_value_same, self.p_value_opposite):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("p-values must lie in [0, 1]")
 
 
 def bin_events(batch: EventBatch, edges) -> BinnedRates:
@@ -219,7 +199,9 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     Refused when a bin is wider than half an oscillation period, pi/delta_m:
     the binned asymmetry then aliases and the fit converges on a wrong
-    delta_m without a sign of it in the chi-square.
+    delta_m without a sign of it in the chi-square.  Also refused when
+    either flavour class has no events in range, which leaves its
+    chi-square without a normalization.
     """
     edges = binned.edges
     width = float(np.diff(edges).max())
@@ -244,6 +226,10 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     obs_opp = np.array([binned.counts_opposite[a:b].sum() for a, b in groups])
     mod_same = np.array([exp_same[a:b].sum() for a, b in groups])
     mod_opp = np.array([exp_opp[a:b].sum() for a, b in groups])
+
+    for label, obs in (("same-flavour", obs_same), ("opposite-flavour", obs_opp)):
+        if obs.sum() == 0.0:
+            raise FitRefusedError(f"no {label} pairs in the lag range; the fit needs both classes")
 
     def pearson(obs, mod):
         scaled = mod * (obs.sum() / mod.sum())
@@ -288,8 +274,8 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
         dof=dof,
         fitted_delta_m=fitted,
         fitted_delta_m_error=error,
-        p_value_same=float(chi2_dist.sf(chi2_same, dof)),
-        p_value_opposite=float(chi2_dist.sf(chi2_opp, dof)),
+        p_value_same=float(chdtrc(dof, chi2_same)),
+        p_value_opposite=float(chdtrc(dof, chi2_opp)),
         n_groups=len(groups),
     )
 
@@ -313,27 +299,3 @@ def bin_table(binned: BinnedRates, params: ModelParams) -> list[dict]:
         for j in range(binned.edges.size - 1)
     ]
 
-
-def two_sample_chi2(a: BinnedRates, b: BinnedRates) -> tuple[float, int]:
-    """Two-sample histogram comparison over all (bin, class) cells.
-
-    Uses the weighted form (K1*n_a - K2*n_b)^2/(n_a + n_b) with
-    K1 = sqrt(N_b/N_a), K2 = sqrt(N_a/N_b), which keeps the statistic
-    chi-square distributed when the two totals differ; dof = populated
-    cells - 1.
-    """
-    if not np.array_equal(a.edges, b.edges):
-        raise ValueError("histograms must share identical edges")
-    cells_a = np.concatenate([a.counts_same, a.counts_opposite])
-    cells_b = np.concatenate([b.counts_same, b.counts_opposite])
-    total_a = cells_a.sum()
-    total_b = cells_b.sum()
-    if total_a == 0.0 or total_b == 0.0:
-        raise ValueError("both histograms must contain events")
-    k1 = math.sqrt(total_b / total_a)
-    k2 = math.sqrt(total_a / total_b)
-    mask = (cells_a + cells_b) > 0.0
-    stat = float(
-        np.sum((k1 * cells_a[mask] - k2 * cells_b[mask]) ** 2 / (cells_a + cells_b)[mask])
-    )
-    return stat, int(mask.sum()) - 1

@@ -453,7 +453,7 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
         n_total = binned.n_total
-        curve = quantum.rate_curve(internal, centers)
+        model_same, model_opp = quantum.rate_curve(internal, centers)
         denom = 2.0 * n_total * widths * scale
         curve_headers = ("dt_center", "rate_same", "rate_same_err", "rate_opp",
                          "rate_opp_err", "model_same", "model_opp")
@@ -464,8 +464,8 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
                 float(np.sqrt(binned.counts_same[j]) / denom[j]),
                 float(binned.counts_opposite[j] / denom[j]),
                 float(np.sqrt(binned.counts_opposite[j]) / denom[j]),
-                float(curve.values_same[j] / scale),
-                float(curve.values_opposite[j] / scale),
+                float(model_same[j] / scale),
+                float(model_opp[j] / scale),
             )
             for j in range(centers.size)
         ]

@@ -27,8 +27,6 @@ import numpy as np
 __all__ = [
     "Flavour",
     "ModelParams",
-    "PairEvent",
-    "flavour_window",
     "flavour_window_codes",
     "p_density",
     "q_shape",
@@ -84,30 +82,6 @@ class ModelParams:
         return self.delta_m * self.tau
 
 
-@dataclass(frozen=True)
-class PairEvent:
-    """One simulated pair decay.
-
-    ``lam`` is the shared hidden phase; ``swapped`` records whether
-    symmetrized generation exchanged which physical side received which
-    decay law.
-    """
-
-    index: int
-    lam: float
-    t1: float
-    flavour1: Flavour
-    t2: float
-    flavour2: Flavour
-    swapped: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam < TWO_PI:
-            raise ValueError(f"lam must lie in [0, 2pi), got {self.lam!r}")
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ValueError("decay times must be nonnegative")
-
-
 def _window_b0bar(lam, t, params: ModelParams):
     """The window rule: true where phi = (lam - delta_m * t) mod 2pi lies in
     [0, pi/2) u [3pi/2, 2pi), the B0bar window.
@@ -119,19 +93,15 @@ def _window_b0bar(lam, t, params: ModelParams):
     return (phi < HALF_PI) | (phi >= THREE_HALF_PI)
 
 
-def flavour_window(lam, t, params: ModelParams) -> Flavour:
-    """Deterministic first-side flavour for hidden phase ``lam`` at time ``t``.
+def flavour_window_codes(lam, t, params: ModelParams) -> np.ndarray:
+    """Deterministic first-side flavour for hidden phase ``lam`` at time ``t``,
+    as int8 codes (Flavour values); a 0-d array for scalar arguments.
 
     The phase variable phi = (lam - delta_m * t) mod 2pi partitions the
     circle into two half-turn windows: B0bar on [0, pi/2) u [3pi/2, 2pi),
     B0 on [pi/2, 3pi/2).  The half-open convention settles the
     measure-zero boundary ties.
     """
-    return Flavour.B0BAR if _window_b0bar(lam, t, params) else Flavour.B0
-
-
-def flavour_window_codes(lam, t, params: ModelParams) -> np.ndarray:
-    """Vectorized :func:`flavour_window`; returns int8 codes (Flavour values)."""
     return np.where(_window_b0bar(lam, t, params), np.int8(Flavour.B0BAR), np.int8(Flavour.B0))
 
 

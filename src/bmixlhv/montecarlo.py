@@ -29,7 +29,6 @@ from .model import (
     TWO_PI,
     Flavour,
     ModelParams,
-    PairEvent,
     flavour_window_codes,
     rho_table,
 )
@@ -137,13 +136,6 @@ class RngStats:
     lambda_proposals: int
     t2_proposals: int
 
-    def __post_init__(self) -> None:
-        # normalize numpy scalars so repr()-based headers stay plain
-        object.__setattr__(self, "lambda_acceptance_rate", float(self.lambda_acceptance_rate))
-        object.__setattr__(self, "t2_acceptance_rate", float(self.t2_acceptance_rate))
-        object.__setattr__(self, "lambda_proposals", int(self.lambda_proposals))
-        object.__setattr__(self, "t2_proposals", int(self.t2_proposals))
-
     @classmethod
     def from_proposals(cls, n: int, lambda_proposals: int, t2_proposals: int) -> "RngStats":
         """Stats of ``n`` accepted events drawn from the given proposal counts."""
@@ -152,7 +144,7 @@ class RngStats:
 
 @dataclass(frozen=True, eq=False)
 class EventBatch:
-    """Columnar storage of generated events; indexable as PairEvent."""
+    """Columnar storage of generated events, one array per field."""
 
     index: np.ndarray
     lam: np.ndarray
@@ -166,17 +158,6 @@ class EventBatch:
 
     def __len__(self) -> int:
         return self.index.size
-
-    def __getitem__(self, i: int) -> PairEvent:
-        return PairEvent(
-            index=int(self.index[i]),
-            lam=float(self.lam[i]),
-            t1=float(self.t1[i]),
-            flavour1=Flavour(int(self.flavour1[i])),
-            t2=float(self.t2[i]),
-            flavour2=Flavour(int(self.flavour2[i])),
-            swapped=bool(self.swapped[i]),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventBatch):
@@ -193,7 +174,12 @@ class EventBatch:
 # ---------------------------------------------------------------------------
 # vectorized generation
 
-def _generate_range(config: SimConfig, start: int, stop: int):
+def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
+    """Generate the events with indices in [start, stop); stats cover the range."""
+    if not 0 <= start <= stop <= config.n_events:
+        raise ValueError(f"invalid event range [{start}, {stop})")
+    if start == stop:
+        raise ValueError("empty event range")
     params = config.params
     tau, dm = params.tau, params.delta_m
     table = rho_table(params)
@@ -245,7 +231,6 @@ def _generate_range(config: SimConfig, start: int, stop: int):
     swapped = np.zeros(n, dtype=bool)
     if config.symmetrized:
         u_a, _ = uniform_pair_block(config.seed, idx, cursor)
-        cursor += 1
         swapped = u_a < 0.5
         t1, t2 = np.where(swapped, t2, t1), np.where(swapped, t1, t2)
         flavour1, flavour2 = (
@@ -253,29 +238,16 @@ def _generate_range(config: SimConfig, start: int, stop: int):
             np.where(swapped, flavour1, flavour2),
         )
 
-    columns = {
-        "index": idx,
-        "lam": lam,
-        "t1": t1,
-        "flavour1": flavour1,
-        "t2": t2,
-        "flavour2": flavour2,
-        "swapped": swapped,
-    }
-    return columns, lambda_proposals, t2_proposals
-
-
-def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
-    """Generate the events with indices in [start, stop); stats cover the range."""
-    if not 0 <= start <= stop <= config.n_events:
-        raise ValueError(f"invalid event range [{start}, {stop})")
-    if start == stop:
-        raise ValueError("empty event range")
-    columns, lam_props, t2_props = _generate_range(config, start, stop)
     return EventBatch(
-        **columns,
+        index=idx,
+        lam=lam,
+        t1=t1,
+        flavour1=flavour1,
+        t2=t2,
+        flavour2=flavour2,
+        swapped=swapped,
         config_fingerprint=config_fingerprint(config),
-        rng_stats=RngStats.from_proposals(stop - start, lam_props, t2_props),
+        rng_stats=RngStats.from_proposals(n, lambda_proposals, t2_proposals),
     )
 
 

@@ -2,19 +2,18 @@
 
 Conventions: flavour indices k, l take the values of :class:`Flavour`
 (B0=1, B0bar=2); the pair class i is 1 when both decays show the same
-flavour and 2 when they differ.
+flavour and 2 when they differ.  Every function is built from numpy
+operators, as in :mod:`bmixlhv.model`: scalars give a scalar, arrays
+broadcast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Flavour, ModelParams
+from .model import ModelParams
 
 __all__ = [
-    "RateCurve",
     "asymmetry",
     "conditional_from_joint",
     "conditional_rate",
@@ -30,10 +29,6 @@ def pair_class(k, l) -> int:
     return abs(int(k) - int(l)) + 1
 
 
-def _maybe_scalar(a: np.ndarray):
-    return float(a) if a.ndim == 0 else a
-
-
 def conditional_rate(i: int, delta_t, params: ModelParams):
     """Rate density of the second decay a lag ``delta_t`` after the first.
 
@@ -41,14 +36,12 @@ def conditional_rate(i: int, delta_t, params: ModelParams):
     (same flavour) vanishes at zero lag — the pair is perfectly
     anticorrelated at equal proper times.
     """
-    dt = np.asarray(delta_t, dtype=float)
     sign = -1.0 if i % 2 else 1.0
-    out = (
-        np.exp(-dt / params.tau)
+    return (
+        np.exp(-delta_t / params.tau)
         / (4.0 * params.tau)
-        * (1.0 + sign * np.cos(params.delta_m * dt))
+        * (1.0 + sign * np.cos(params.delta_m * delta_t))
     )
-    return _maybe_scalar(out)
 
 
 def joint_density(k, l, t1, t2, params: ModelParams):
@@ -56,15 +49,12 @@ def joint_density(k, l, t1, t2, params: ModelParams):
 
     (1/4tau^2) * exp(-(t1+t2)/tau) * (1 - (-1)^(l-k) cos(delta_m |t1-t2|)).
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
     sign = 1.0 if int(k) == int(l) else -1.0
-    out = (
+    return (
         np.exp(-(t1 + t2) / params.tau)
         / (4.0 * params.tau**2)
         * (1.0 - sign * np.cos(params.delta_m * np.abs(t1 - t2)))
     )
-    return _maybe_scalar(out)
 
 
 def i_kl(k, l, s):
@@ -73,57 +63,25 @@ def i_kl(k, l, s):
     2pi-periodic in s; the defining integral is re-evaluated by quadrature
     in the verification module.
     """
-    s = np.asarray(s, dtype=float)
     sign = -1.0 if int(k) == int(l) else 1.0
-    return _maybe_scalar(1.0 + sign * np.cos(s))
+    return 1.0 + sign * np.cos(s)
 
 
 def conditional_from_joint(k, l, t1, t2, params: ModelParams):
     """tau * exp(2 min(t1,t2)/tau) * joint_density — identically equal to
     conditional_rate(pair_class(k,l), |t1-t2|)."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    out = (
+    return (
         params.tau
         * np.exp(2.0 * np.minimum(t1, t2) / params.tau)
         * joint_density(k, l, t1, t2, params)
     )
-    return _maybe_scalar(out)
 
 
 def asymmetry(delta_t, params: ModelParams):
     """(opposite - same) / (opposite + same) = cos(delta_m * delta_t)."""
-    return _maybe_scalar(np.cos(params.delta_m * np.asarray(delta_t, dtype=float)))
+    return np.cos(params.delta_m * delta_t)
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    """Tabulated same/opposite conditional rates on an ascending lag grid."""
-
-    delta_t_grid: np.ndarray
-    values_same: np.ndarray
-    values_opposite: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.delta_t_grid, dtype=float)
-        same = np.asarray(self.values_same, dtype=float)
-        opp = np.asarray(self.values_opposite, dtype=float)
-        if not (grid.shape == same.shape == opp.shape and grid.ndim == 1):
-            raise ValueError("grid and value arrays must be 1-D with equal length")
-        if grid.size and (np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0):
-            raise ValueError("delta_t grid must be nonnegative and strictly ascending")
-        if np.any(same < 0.0) or np.any(opp < 0.0):
-            raise ValueError("rate values must be nonnegative")
-        object.__setattr__(self, "delta_t_grid", grid)
-        object.__setattr__(self, "values_same", same)
-        object.__setattr__(self, "values_opposite", opp)
-
-
-def rate_curve(params: ModelParams, delta_t_grid) -> RateCurve:
-    """Evaluate both conditional rates on the given lag grid."""
-    grid = np.asarray(delta_t_grid, dtype=float)
-    return RateCurve(
-        delta_t_grid=grid,
-        values_same=np.asarray(conditional_rate(1, grid, params), dtype=float),
-        values_opposite=np.asarray(conditional_rate(2, grid, params), dtype=float),
-    )
+def rate_curve(params: ModelParams, delta_t_grid):
+    """Both conditional rates on the given lag grid, as (same, opposite)."""
+    return conditional_rate(1, delta_t_grid, params), conditional_rate(2, delta_t_grid, params)

@@ -81,10 +81,6 @@ class CheckResult:
     computed: float
     tolerance: float
 
-    def __post_init__(self) -> None:
-        for attr in ("target", "computed", "tolerance"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
-
     @property
     def residual(self) -> float:
         return abs(self.target - self.computed)

@@ -5,7 +5,8 @@ paths: window membership is decided by scanning integer branches, the
 second-side normalizer by summing exact antiderivatives between cosine sign
 changes, the band probabilities by adaptive 2-D quadrature of the joint
 density, and the verification integrals by adaptive quadrature with
-breakpoints (:func:`adaptive_quad`).  They work in unit-lifetime time units
+breakpoints (:func:`adaptive_quad`).  :func:`two_sample_chi2` compares two
+histograms for the symmetrization acceptance check.  They work in unit-lifetime time units
 (tau = 1).
 
 The scalar samplers at the end are the other kind of reference: one event
@@ -206,6 +207,32 @@ def adaptive_quad(integrand, a: float, b: float, points=(), tol: float = 1e-12) 
     if err > 100.0 * tol:
         raise RuntimeError(f"adaptive quadrature error {err!r} too large")
     return val
+
+
+def two_sample_chi2(a, b) -> tuple[float, int]:
+    """Two-sample comparison of two :class:`~bmixlhv.analysis.BinnedRates`
+    over all (bin, class) cells.
+
+    Uses the weighted form (K1*n_a - K2*n_b)^2/(n_a + n_b) with
+    K1 = sqrt(N_b/N_a), K2 = sqrt(N_a/N_b), which keeps the statistic
+    chi-square distributed when the two totals differ; dof = populated
+    cells - 1.
+    """
+    if not np.array_equal(a.edges, b.edges):
+        raise ValueError("histograms must share identical edges")
+    cells_a = np.concatenate([a.counts_same, a.counts_opposite])
+    cells_b = np.concatenate([b.counts_same, b.counts_opposite])
+    total_a = cells_a.sum()
+    total_b = cells_b.sum()
+    if total_a == 0.0 or total_b == 0.0:
+        raise ValueError("both histograms must contain events")
+    k1 = math.sqrt(total_b / total_a)
+    k2 = math.sqrt(total_a / total_b)
+    mask = (cells_a + cells_b) > 0.0
+    stat = float(
+        np.sum((k1 * cells_a[mask] - k2 * cells_b[mask]) ** 2 / (cells_a + cells_b)[mask])
+    )
+    return stat, int(mask.sum()) - 1
 
 
 def event_file_rows(batch) -> str:

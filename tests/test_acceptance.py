@@ -12,7 +12,7 @@ import numpy as np
 
 import conftest
 from bmixlhv import cli
-from bmixlhv.analysis import bin_events, goodness_of_fit, two_sample_chi2
+from bmixlhv.analysis import bin_events, goodness_of_fit
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import SimConfig, generate
 from bmixlhv.quantum import conditional_rate, joint_density, pair_class
@@ -21,6 +21,7 @@ from bmixlhv.verification import (
     check_normalizations,
     reconstruct_joint,
 )
+from oracles import two_sample_chi2
 
 X_VALUES = (0.5, 0.776, 2.0)
 FLAVOUR_PAIRS = tuple(product((1, 2), (1, 2)))

@@ -1,9 +1,11 @@
 """Histogramming, expected counts, goodness of fit, and two-sample tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 
 from bmixlhv.analysis import (
     BinnedRates,
@@ -12,11 +14,10 @@ from bmixlhv.analysis import (
     bin_table,
     expected_counts,
     goodness_of_fit,
-    two_sample_chi2,
 )
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import EventBatch, SimConfig, generate
-from oracles import delta_t_bin_probability
+from oracles import delta_t_bin_probability, two_sample_chi2
 
 DEFAULT = ModelParams(tau=1.0, delta_m=0.776)
 
@@ -202,6 +203,27 @@ def test_fit_refuses_bins_wider_than_half_a_period():
         goodness_of_fit(_exact_binned(bins=50, dt_max=5.0, params=fast), fast)
     fit = goodness_of_fit(_exact_binned(bins=50, dt_max=0.02, params=fast), fast)
     assert fit.fitted_delta_m == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_fit_refuses_a_missing_flavour_class():
+    # an empty class leaves its chi-square without a normalization: the fit
+    # must refuse rather than report a NaN
+    exact = _exact_binned()
+    for field, label in (("counts_same", "same"), ("counts_opposite", "opposite")):
+        binned = dataclasses.replace(exact, **{field: np.zeros_like(exact.counts_same)})
+        with pytest.raises(FitRefusedError, match=f"no {label}-flavour pairs"):
+            goodness_of_fit(binned, DEFAULT)
+
+
+def test_p_values_match_the_chi2_survival_function(small_batch):
+    fits = [goodness_of_fit(_exact_binned(), DEFAULT)]
+    for bins in (10, 25, 50, 80):
+        fits.append(goodness_of_fit(bin_events(small_batch, np.linspace(0.0, 5.0, bins + 1)),
+                                    DEFAULT))
+    for fit in fits:
+        assert fit.p_value_same == chi2_dist.sf(fit.chi2_same, fit.dof)
+        assert fit.p_value_opposite == chi2_dist.sf(fit.chi2_opposite, fit.dof)
+        assert type(fit.p_value_same) is float
 
 
 def test_trailing_sparse_bins_are_merged():

@@ -1,11 +1,17 @@
 """Command-line behaviour: exit codes, precedence, units, byte-stable output."""
 
+import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import bmixlhv
 from bmixlhv import cli
 from bmixlhv.montecarlo import read_events
 
@@ -328,6 +334,56 @@ def test_analyze_refuses_aliased_bins(tmp_path, capsys):
     assert not (tmp_path / "f1").exists()
     assert run("analyze", sim / "events.csv", "--dt-max", 0.02, "--bins", 50,
                "--out", tmp_path / "f2") == 0
+
+
+def test_analyze_refuses_a_one_class_event_file(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--x", 0.776, "--events", 5000, "--seed", 2, "--out", sim) == 0
+    # copy each first-side label onto the second side: every pair is then
+    # same-flavour, and the rows still pass read_events
+    lines = (sim / "events.csv").read_text().splitlines(keepends=True)
+    edited = []
+    for line in lines:
+        if not line.startswith("#"):
+            fields = line.split(",")
+            fields[5] = fields[3]
+            line = ",".join(fields)
+        edited.append(line)
+    one_class = tmp_path / "one_class.csv"
+    one_class.write_text("".join(edited))
+    batch, _ = read_events(one_class)
+    assert (batch.flavour1 == batch.flavour2).all()
+    capsys.readouterr()
+    assert run("analyze", one_class, "--out", tmp_path / "fit") == 1
+    assert "error: no opposite-flavour pairs" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
+    generate = cli.montecarlo.generate
+
+    def same_flavour(config, workers=1):
+        batch = generate(config, workers)
+        return dataclasses.replace(batch, flavour2=batch.flavour1.copy())
+
+    monkeypatch.setattr(cli.montecarlo, "generate", same_flavour)
+    out = tmp_path / "scan"
+    assert run("scan", "0.776", "--events", 4000, "--seed", 6, "--out", out) == 1
+    (point,) = yaml.safe_load((out / "scan_summary.yaml").read_text())["points"]
+    assert point["status"].startswith("error: no opposite-flavour pairs")
+    assert point["fitted_delta_m"] is None
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a command's start-up; p-values come from
+    # scipy.special instead
+    src = str(Path(bmixlhv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bmixlhv.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_corrupted_event_file_exits_2(tmp_path, capsys):

@@ -9,8 +9,6 @@ from hypothesis import assume, given, strategies as st
 from bmixlhv.model import (
     Flavour,
     ModelParams,
-    PairEvent,
-    flavour_window,
     flavour_window_codes,
     inverse_n,
     p_density,
@@ -38,10 +36,10 @@ dms = st.floats(min_value=0.05, max_value=5.0)
 # window law
 
 def test_window_examples():
-    assert flavour_window(0.0, 0.0, UNIT) is Flavour.B0BAR
-    assert flavour_window(math.pi, 0.0, UNIT) is Flavour.B0
-    assert flavour_window(0.0, math.pi, UNIT) is Flavour.B0  # phase wraps to pi
-    assert flavour_window(1.0, 1.0, UNIT) is Flavour.B0BAR  # phase 0 again
+    assert flavour_window_codes(0.0, 0.0, UNIT) == Flavour.B0BAR
+    assert flavour_window_codes(math.pi, 0.0, UNIT) == Flavour.B0
+    assert flavour_window_codes(0.0, math.pi, UNIT) == Flavour.B0  # phase wraps to pi
+    assert flavour_window_codes(1.0, 1.0, UNIT) == Flavour.B0BAR  # phase 0 again
 
 
 def test_window_boundary_ties_are_half_open():
@@ -50,21 +48,20 @@ def test_window_boundary_ties_are_half_open():
     cases = [(0.5 * math.pi, Flavour.B0), (1.5 * math.pi, Flavour.B0BAR),
              (-1e-18, Flavour.B0BAR)]
     for lam, flavour in cases:
-        assert flavour_window(lam, 0.0, UNIT) is flavour
+        assert flavour_window_codes(lam, 0.0, UNIT) == flavour
         assert flavour_window_codes(np.array([lam]), np.zeros(1), UNIT).tolist() == [flavour]
     assert (-1e-18) % TWO_PI == TWO_PI  # precondition: the rounding case is real
 
 
 def test_window_rule_has_one_vectorized_entry_point(monkeypatch):
-    # the scalar window and the densities must not route through the
-    # vectorized codes, which timing harnesses wrap as the sampler's stage
+    # the densities must not route through the vectorized codes, which
+    # timing harnesses wrap as the sampler's stage
     import bmixlhv.model as model
 
     def refuse(*args):
-        raise AssertionError("scalar path called flavour_window_codes")
+        raise AssertionError("p_density called flavour_window_codes")
 
     monkeypatch.setattr(model, "flavour_window_codes", refuse)
-    assert model.flavour_window(1.0, 0.5, UNIT) is Flavour.B0BAR
     assert model.p_density(Flavour.B0BAR, 1.0, 0.5, UNIT) == math.exp(-0.5)
 
 
@@ -76,7 +73,7 @@ def test_window_matches_branch_scan(lam, t, dm):
     dist = abs((phase - 0.5 * math.pi) % math.pi)
     assume(min(dist, math.pi - dist) > 1e-6)
     params = ModelParams(tau=1.0, delta_m=dm)
-    assert int(flavour_window(lam, t, params)) == window_flavour_scan(lam, t, dm)
+    assert int(flavour_window_codes(lam, t, params)) == window_flavour_scan(lam, t, dm)
 
 
 @given(lam=lams, t=times, dm=dms)
@@ -86,7 +83,7 @@ def test_window_is_periodic_in_time(lam, t, dm):
     assume(min(dist, math.pi - dist) > 1e-6)
     params = ModelParams(tau=1.0, delta_m=dm)
     period = TWO_PI / dm
-    assert flavour_window(lam, t, params) is flavour_window(lam, t + period, params)
+    assert flavour_window_codes(lam, t, params) == flavour_window_codes(lam, t + period, params)
 
 
 def test_window_codes_match_scalar_path():
@@ -98,7 +95,8 @@ def test_window_codes_match_scalar_path():
     params = ModelParams(tau=1.0, delta_m=0.776)
     codes = flavour_window_codes(lam, t, params)
     assert codes.dtype == np.int8
-    expected = [int(flavour_window(l, u, params)) for l, u in zip(lam, t)]
+    # one call per element on Python floats, the scalar path
+    expected = [int(flavour_window_codes(float(l), float(u), params)) for l, u in zip(lam, t)]
     assert codes.tolist() == expected
 
 
@@ -134,7 +132,7 @@ def test_window_flavour_never_overlaps_second_side(lam, t, dm):
     """The second-side shape vanishes exactly on the window flavour: at equal
     times the two sides can never produce the same tag."""
     params = ModelParams(tau=1.0, delta_m=dm)
-    k = flavour_window(lam, t, params)
+    k = flavour_window_codes(lam, t, params)
     assert q_shape(k, lam, t, params) == 0.0
 
 
@@ -237,15 +235,6 @@ def test_params_normalize_to_plain_floats():
     p = ModelParams(np.float64(2.0), np.float64(0.388))
     assert type(p.tau) is float and type(p.delta_m) is float
     assert p.x == pytest.approx(0.776, rel=1e-15)
-
-
-def test_pair_event_validation():
-    with pytest.raises(ValueError):
-        PairEvent(index=0, lam=TWO_PI, t1=1.0, flavour1=Flavour.B0,
-                  t2=1.0, flavour2=Flavour.B0BAR)
-    with pytest.raises(ValueError):
-        PairEvent(index=0, lam=1.0, t1=-0.1, flavour1=Flavour.B0,
-                  t2=1.0, flavour2=Flavour.B0BAR)
 
 
 def test_flavour_labels_round_trip():

@@ -300,6 +300,11 @@ GOLDEN_EVENT_FILE_SHA256 = {
     (0.776, True): "2f81f4a57fd0925e4cb0619bc832d89f37078415519132e60329b0e71c9a2dc9",
     (5.0, False): "8a3c0dda9adf4b63a11b76f8a900f9568e01f0f1cc561bbf3e4343a5c377c7fd",
     (5.0, True): "d87a3a45d6fcb41b88168d626c6b3cbc80d74d3be0fa9731676410304814f15c",
+    # both ends of the supported x range
+    (0.01, False): "91c83546be95c6e158593126818862a807e435193d359329899db707e03a72fc",
+    (0.01, True): "e23b2128a89844c7f2d7880218001af69de20665a547e03b6daf714eed2a7443",
+    (1000.0, False): "4da0e77a6d85da18136ffa8514eb657526e9eb467209f854a6579c66694aebf3",
+    (1000.0, True): "e6a3a1e3d426c1b8012dee9573b85caf6601bdb330c0d3e3ed8d504dc97b3211",
 }
 
 
@@ -469,13 +474,10 @@ def test_rejection_overflow_raises():
         generate(cfg)
 
 
-def test_batch_indexing_and_iteration():
+def test_batch_length_and_equality():
     cfg = _config(n=7)
     batch = generate(cfg)
-    ev = batch[3]
-    assert ev.index == 3
-    assert ev.lam == batch.lam[3] and ev.t2 == batch.t2[3]
-    assert isinstance(ev.flavour1, Flavour)
     assert len(batch) == 7
+    assert batch == generate(cfg)
     assert batch != generate(_config(n=7, seed=78))
     assert (batch == object()) is False

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from bmixlhv.model import ModelParams
 from bmixlhv.quantum import (
-    RateCurve,
     asymmetry,
     conditional_from_joint,
     conditional_rate,
@@ -115,19 +114,10 @@ def test_asymmetry_is_bounded_cosine(dt, dm):
 
 def test_rate_curve_matches_pointwise_rates():
     grid = np.linspace(0.0, 5.0, 26)
-    curve = rate_curve(DEFAULT, grid)
-    assert np.array_equal(curve.delta_t_grid, grid)
-    assert np.array_equal(curve.values_same, conditional_rate(1, grid, DEFAULT))
-    assert np.array_equal(curve.values_opposite, conditional_rate(2, grid, DEFAULT))
-
-
-def test_rate_curve_validation():
-    with pytest.raises(ValueError):
-        RateCurve(np.array([0.0, 1.0]), np.array([0.1]), np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        RateCurve(np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        RateCurve(np.array([0.0, 1.0]), np.array([-0.1, 0.0]), np.zeros(2))
+    same, opposite = rate_curve(DEFAULT, grid)
+    assert np.array_equal(same, conditional_rate(1, grid, DEFAULT))
+    assert np.array_equal(opposite, conditional_rate(2, grid, DEFAULT))
+    assert np.array_equal(same, [conditional_rate(1, float(dt), DEFAULT) for dt in grid])
 
 
 def test_scalar_and_array_evaluation_agree():
