@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import chdtrc
 
 from .model import ModelParams
 from .montecarlo import EventBatch
@@ -33,9 +31,18 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 10.0
 
+# the constants of scipy's golden-section minimizer, kept so that
+# :func:`_golden` returns the same float for the same bracket
+_GOLDEN_R = 0.61803399  # rounded golden-ratio conjugate, 2 / (1 + sqrt(5))
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = 1.4901161193847656e-08  # sqrt of the double epsilon
+_GOLDEN_MAXITER = 5000
+
 
 class FitRefusedError(ValueError):
-    """Too few populated bins, or bins too wide, to attempt a fit."""
+    """The binned data cannot support a fit: too few populated groups, a
+    missing flavour class, bins too wide, or no minimum inside the scanned
+    delta_m range."""
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,41 @@ def _asymmetry(n_same, n_opp):
         return asym, np.where(variance <= 0.0, 1.0 / total, variance)
 
 
+def _golden(func, xa, xb, xc):
+    """Golden-section minimum of ``func`` in the bracket xa < xb < xc, where
+    f(xb) lies below both ends.
+
+    A line-for-line port of scipy's scalar minimizer with ``method="golden"``
+    at its default tolerance: same split, same update order, same final pick,
+    so it returns the same float for the same bracket.
+    """
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1 = xb
+        x2 = xb + _GOLDEN_C * (xc - xb)
+    else:
+        x2 = xb
+        x1 = xb - _GOLDEN_C * (xb - xa)
+    f1 = func(x1)
+    f2 = func(x2)
+    for _ in range(_GOLDEN_MAXITER):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0 = x1
+            x1 = x2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f1 = f2
+            f2 = func(x2)
+        else:
+            x3 = x2
+            x2 = x1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f2 = f1
+            f1 = func(x1)
+    return x1 if f1 < f2 else x2
+
+
 def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     """Pearson chi-square per flavour class plus a one-parameter delta_m fit.
 
@@ -195,13 +237,15 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     for the fitted delta_m.  The fit minimizes the weighted squared
     difference between per-group asymmetries and their exact group-averaged
     model values, scanning delta_m on [0.5, 1.5] times the reference and
-    refining by golden section.
+    refining the best interior scan point by golden section.
 
     Refused when a bin is wider than half an oscillation period, pi/delta_m:
     the binned asymmetry then aliases and the fit converges on a wrong
     delta_m without a sign of it in the chi-square.  Also refused when
     either flavour class has no events in range, which leaves its
-    chi-square without a normalization.
+    chi-square without a normalization, and when the scan has no strict
+    interior minimum: the best delta_m then lies at or beyond the edge of
+    the scanned range, and the edge is not a measurement.
     """
     edges = binned.edges
     width = float(np.diff(edges).max())
@@ -253,20 +297,19 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     scan = np.linspace(0.5 * params.delta_m, 1.5 * params.delta_m, 201)
     values = np.array([objective(dm) for dm in scan])
     j = int(np.argmin(values))
-    if 0 < j < scan.size - 1 and values[j] < values[j - 1] and values[j] < values[j + 1]:
-        result = minimize_scalar(
-            objective, bracket=(scan[j - 1], scan[j], scan[j + 1]), method="golden"
+    if not (0 < j < scan.size - 1 and values[j] < values[j - 1] and values[j] < values[j + 1]):
+        raise FitRefusedError(
+            f"no interior minimum in the scanned delta_m range [{scan[0]:.4g}, {scan[-1]:.4g}], "
+            "0.5 to 1.5 times the reference; the sample's delta_m lies outside it"
         )
-        fitted = float(result.x)
-    else:
-        result = minimize_scalar(
-            objective, bounds=(scan[0], scan[-1]), method="bounded"
-        )
-        fitted = float(result.x)
+    fitted = float(_golden(objective, scan[j - 1], scan[j], scan[j + 1]))
 
     h = max(1e-4 * fitted, 1e-10)
     curvature = (objective(fitted + h) - 2.0 * objective(fitted) + objective(fitted - h)) / h**2
     error = math.sqrt(2.0 / curvature) if curvature > 0.0 else math.inf
+
+    # scipy costs most of a command's start-up, and only the p-values need it
+    from scipy.special import chdtrc
 
     return FitResult(
         chi2_same=chi2_same,

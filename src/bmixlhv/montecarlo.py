@@ -15,6 +15,9 @@ peak temporary memory does not depend on ``n_events``.
 
 The phase accept test evaluates the closed-form phase density
 (:func:`bmixlhv.model.rho_table`) on each round's whole array of proposals.
+Both rejection loops run in :func:`_first_accepted`, which draws several
+consecutive proposals per lane once few lanes are pending, so the few long
+t2 chains near lam = pi/2 at small x cost a few rounds, not hundreds.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ WRITE_CHUNK_ROWS = 65_536
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
 GENERATE_BLOCK_EVENTS = 65_536
+
+# uniform pairs a rejection round draws at least, an eighth of a block: once
+# few lanes are pending, each draws several proposals per round
+_MIN_DRAWS_PER_CALL = GENERATE_BLOCK_EVENTS // 8
 
 # dtype of each EventBatch column as generated
 _COLUMN_DTYPES = {
@@ -174,6 +181,44 @@ class EventBatch:
 # ---------------------------------------------------------------------------
 # vectorized generation
 
+def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test):
+    """Envelope rejection on every lane: the value of each lane's first
+    accepted proposal, the number of proposals made, and the lanes still
+    pending when the per-lane budget ``max_rejection_iters`` ran out.
+
+    ``test(lanes, u_a, u_b)`` maps the uniform pairs drawn for ``lanes`` to
+    (accepted, value) arrays.  Once fewer than :data:`_MIN_DRAWS_PER_CALL`
+    lanes are pending, each call draws k consecutive cursors per pending
+    lane.  A lane keeps its first accepted proposal, and its cursor and the
+    proposal count advance only up to it, so no result depends on k; every
+    pending lane has always used the same number of proposals.  Advances
+    each lane's ``cursor`` in place by the proposals it used.
+    """
+    values = np.empty(idx.size)
+    spent = np.zeros(idx.size, dtype=np.uint64)  # proposals each lane used
+    pending = np.arange(idx.size)
+    used = 0
+    while pending.size and used < config.max_rejection_iters:
+        k = min(-(-_MIN_DRAWS_PER_CALL // pending.size), config.max_rejection_iters - used)
+        # row j holds every pending lane's (used + j)-th proposal
+        lanes = np.tile(pending, k)
+        steps = np.arange(used, used + k, dtype=np.uint64)[:, None]
+        u_a, u_b = uniform_pair_block(config.seed, idx[lanes], (cursor[pending] + steps).ravel())
+        accept, value = test(lanes, u_a, u_b)
+        seen = np.logical_or.accumulate(accept.reshape(k, -1), axis=0)
+        hit = seen[-1]
+        # a lane's rows before its first acceptance are the unseen ones
+        first = (k - seen.sum(axis=0))[hit]
+        done = pending[hit]
+        values[done] = value.reshape(k, -1)[first, np.flatnonzero(hit)]
+        spent[done] = used + first + 1
+        pending = pending[~hit]
+        used += k
+    spent[pending] = used
+    cursor += spent
+    return values, int(spent.sum()), pending
+
+
 def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     """Generate the events with indices in [start, stop); stats cover the range."""
     if not 0 <= start <= stop <= config.n_events:
@@ -187,20 +232,12 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     idx = np.arange(start, stop, dtype=np.uint64)
     cursor = np.zeros(n, dtype=np.uint64)
 
-    lam = np.empty(n, dtype=float)
-    pending = np.arange(n)
-    lambda_proposals = 0
-    for _ in range(config.max_rejection_iters):
-        if pending.size == 0:
-            break
-        u_a, u_b = uniform_pair_block(config.seed, idx[pending], cursor[pending])
-        cursor[pending] += 1
-        lambda_proposals += pending.size
+    def lambda_test(lanes, u_a, u_b):
         prop = TWO_PI * u_a
-        accept = u_b < _ENVELOPE_SCALE * table(prop)
-        lam[pending[accept]] = prop[accept]
-        pending = pending[~accept]
-    if pending.size:
+        return u_b < _ENVELOPE_SCALE * table(prop), prop
+
+    lam, lambda_proposals, left = _first_accepted(config, idx, cursor, lambda_test)
+    if left.size:
         raise RejectionOverflowError("lambda")
 
     u_a, _ = uniform_pair_block(config.seed, idx, cursor)
@@ -208,25 +245,15 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     t1 = -tau * np.log1p(-u_a)
     flavour1 = flavour_window_codes(lam, t1, params)
 
-    t2 = np.empty(n, dtype=float)
-    flavour2 = np.empty(n, dtype=np.int8)
-    pending = np.arange(n)
-    t2_proposals = 0
-    for _ in range(config.max_rejection_iters):
-        if pending.size == 0:
-            break
-        u_a, u_b = uniform_pair_block(config.seed, idx[pending], cursor[pending])
-        cursor[pending] += 1
-        t2_proposals += pending.size
+    def t2_test(lanes, u_a, u_b):
         t_prop = -tau * np.log1p(-u_a)
-        c = np.cos(lam[pending] - dm * t_prop)
-        accept = u_b < np.abs(c)
-        hit = pending[accept]
-        t2[hit] = t_prop[accept]
-        flavour2[hit] = np.where(c[accept] > 0.0, np.int8(Flavour.B0), np.int8(Flavour.B0BAR))
-        pending = pending[~accept]
-    if pending.size:
-        raise RejectionOverflowError("t2", lam=float(lam[pending[0]]))
+        return u_b < np.abs(np.cos(lam[lanes] - dm * t_prop)), t_prop
+
+    t2, t2_proposals, left = _first_accepted(config, idx, cursor, t2_test)
+    if left.size:
+        raise RejectionOverflowError("t2", lam=float(lam[left[0]]))
+    # the sign of the cosine that accepted each t2 fixes its flavour
+    flavour2 = np.where(np.cos(lam - dm * t2) > 0.0, np.int8(Flavour.B0), np.int8(Flavour.B0BAR))
 
     swapped = np.zeros(n, dtype=bool)
     if config.symmetrized:
@@ -343,7 +370,8 @@ def read_events(path) -> tuple[EventBatch, SimConfig]:
 
     Raises :class:`EventFileError` unless the file holds exactly
     ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
-    ``B0``/``B0bar`` labels and 0/1 swap flags.
+    ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
+    nonnegative decay times; the message names the first bad row.
     """
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
@@ -397,6 +425,12 @@ def read_events(path) -> tuple[EventBatch, SimConfig]:
     _reject_rows(rows["index"] != np.arange(n, dtype=np.uint64),
                  "is out of order: its index is not its position")
     _reject_rows(rows["swapped"] > 1, "has a swapped flag other than 0 or 1")
+    # NaN fails every comparison, so each test below also rejects it
+    _reject_rows(~((rows["lambda"] >= 0.0) & (rows["lambda"] < TWO_PI))
+                 | ~((rows["t1"] >= 0.0) & (rows["t1"] < np.inf))
+                 | ~((rows["t2"] >= 0.0) & (rows["t2"] < np.inf)),
+                 "has an impossible value: lambda must lie in [0, 2pi), "
+                 "t1 and t2 must be finite and nonnegative")
 
     stats = None
     if "lambda_proposals" in header and "t2_proposals" in header:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.stats import chi2 as chi2_dist
 
+from bmixlhv import analysis
 from bmixlhv.analysis import (
     BinnedRates,
     FitRefusedError,
@@ -213,6 +215,57 @@ def test_fit_refuses_a_missing_flavour_class():
         binned = dataclasses.replace(exact, **{field: np.zeros_like(exact.counts_same)})
         with pytest.raises(FitRefusedError, match=f"no {label}-flavour pairs"):
             goodness_of_fit(binned, DEFAULT)
+
+
+@pytest.mark.parametrize("true_dm", [1.8, 0.3])
+def test_fit_refuses_a_delta_m_outside_the_scan(true_dm):
+    # exact counts of a delta_m outside [0.5, 1.5] times the reference have
+    # their best fit at the scan edge; reporting that edge would be a lie
+    binned = _exact_binned(params=ModelParams(1.0, true_dm))
+    with pytest.raises(FitRefusedError, match=r"no interior minimum in the scanned "
+                                              r"delta_m range \[0\.388, 1\.164\]"):
+        goodness_of_fit(binned, DEFAULT)
+    # just inside the range the same construction is fitted exactly
+    inside = _exact_binned(params=ModelParams(1.0, 1.1))
+    assert goodness_of_fit(inside, DEFAULT).fitted_delta_m == pytest.approx(1.1, abs=1e-9)
+
+
+def _scipy_golden(func, xa, xb, xc):
+    return float(minimize_scalar(func, bracket=(xa, xb, xc), method="golden").x)
+
+
+@pytest.mark.parametrize("x, seed", [(0.776, 3), (0.776, 17), (0.5, 8), (2.0, 5), (5.0, 12)])
+def test_golden_matches_scipy_on_fit_objectives(monkeypatch, x, seed):
+    # the in-package golden section replaces scipy's; on the fit's own
+    # objective and bracket both must return the same float
+    params = ModelParams(1.0, x)
+    brackets = []
+
+    def recorded(func, xa, xb, xc):
+        brackets.append((func, xa, xb, xc))
+        return golden(func, xa, xb, xc)
+
+    golden = analysis._golden
+    monkeypatch.setattr(analysis, "_golden", recorded)
+    batch = generate(SimConfig(params=params, n_events=20_000, seed=seed))
+    fit = goodness_of_fit(bin_events(batch, np.linspace(0.0, 5.0, 51)), params)
+    ((func, xa, xb, xc),) = brackets
+    assert golden(func, xa, xb, xc) == _scipy_golden(func, xa, xb, xc) == fit.fitted_delta_m
+
+
+@pytest.mark.parametrize("xmin, bracket", [
+    (0.3, (-1.0, 0.2, 5.0)),      # long right arm: first probe splits it
+    (0.3, (-7.0, 0.25, 0.4)),     # long left arm
+    (-2.5, (-3.0, -2.4, 1e3)),
+    (1e-3, (-1e-2, 2e-3, 3e-3)),
+])
+def test_golden_matches_scipy_on_quadratics(xmin, bracket):
+    def func(x):
+        return 3.0 * (x - xmin) ** 2 + 1.0
+
+    found = analysis._golden(func, *bracket)
+    assert found == _scipy_golden(func, *bracket)
+    assert found == pytest.approx(xmin, abs=1e-6)
 
 
 def test_p_values_match_the_chi2_survival_function(small_batch):

@@ -13,7 +13,8 @@ import yaml
 
 import bmixlhv
 from bmixlhv import cli
-from bmixlhv.montecarlo import read_events
+from bmixlhv.model import ModelParams
+from bmixlhv.montecarlo import config_fingerprint, read_events
 
 
 def run(*argv):
@@ -374,16 +375,92 @@ def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
     assert point["fitted_delta_m"] is None
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a command's start-up; p-values come from
-    # scipy.special instead
+def _loaded_scipy_modules(tmp_path, *argv):
+    """scipy modules loaded in a fresh interpreter after importing the CLI
+    and running ``main(argv)``, if given."""
     src = str(Path(bmixlhv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, bmixlhv.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, bmixlhv.cli\n"
+        f"argv = {[str(a) for a in argv]!r}\n"
+        "if argv:\n"
+        "    assert bmixlhv.cli.main(argv) == 0\n"
+        "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, check=True, cwd=tmp_path)
+    return set(done.stdout.splitlines()[-1].split()[1:])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # importing scipy costs most of a command's start-up; only the fit's
+    # p-values need it, from scipy.special, and it loads on the first fit
+    assert _loaded_scipy_modules(tmp_path) == set()
+    assert _loaded_scipy_modules(tmp_path, "simulate", "--x", 0.776, "--events", 3000,
+                                 "--seed", 4, "--out", tmp_path / "sim") == set()
+    assert _loaded_scipy_modules(tmp_path, "verify", "--x", 2.0,
+                                 "--out", tmp_path / "verify") == set()
+    fitted = _loaded_scipy_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
+                                   "--out", tmp_path / "fit")
+    assert "scipy.special" in fitted
+    assert not {m for m in fitted if m.startswith(("scipy.optimize", "scipy.stats"))}
+
+
+def _with_delta_m(path, out, delta_m):
+    """Copy an event file with another delta_m in its header and the
+    fingerprint recomputed, so that only the rows disagree with it."""
+    _, config = read_events(path)
+    edited = dataclasses.replace(config, params=ModelParams(config.params.tau, delta_m))
+    replaced = {"# fingerprint=": config_fingerprint(edited), "# delta_m=": repr(delta_m)}
+    lines = []
+    for line in path.read_text().splitlines(keepends=True):
+        for prefix, value in replaced.items():
+            if line.startswith(prefix):
+                line = f"{prefix}{value}\n"
+        lines.append(line)
+    out.write_text("".join(lines))
+    return out
+
+
+def test_analyze_refuses_a_delta_m_outside_the_scan(tmp_path, capsys):
+    # events oscillating at 1.8 under a header that claims 0.776: the scan
+    # over [0.388, 1.164] has its best point at the edge, which is no fit
+    sim = tmp_path / "sim"
+    assert run("simulate", "--x", 1.8, "--events", 20000, "--seed", 3, "--out", sim) == 0
+    edited = _with_delta_m(sim / "events.csv", tmp_path / "edited.csv", 0.776)
+    _, config = read_events(edited)
+    assert config.params.delta_m == 0.776
+    capsys.readouterr()
+    assert run("analyze", edited, "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err
+    assert "no interior minimum in the scanned delta_m range [0.388, 1.164]" in err
+    assert not (tmp_path / "fit").exists()
+    assert run("analyze", sim / "events.csv", "--out", tmp_path / "fit_true") == 0
+
+
+def test_analyze_rejects_impossible_event_values(tmp_path, capsys):
+    # NaN lags used to fall silently out of range and negative times and
+    # out-of-range phases were binned: analyze reported delta_m = 0.618 for
+    # a 0.776 sample with exit 0
+    sim = tmp_path / "sim"
+    assert run("simulate", "--x", 0.776, "--events", 5000, "--seed", 2, "--out", sim) == 0
+    lines = (sim / "events.csv").read_text().splitlines(keepends=True)
+    # every eighth row from row 7: 300 get a NaN t1, 300 more t1 = -3 and lambda = 99
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")][7::8][:600]
+    for n, i in enumerate(rows):
+        fields = lines[i].split(",")
+        if n < 300:
+            fields[2] = "nan"
+        else:
+            fields[1], fields[2] = "99.0", "-3.0"
+        lines[i] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert run("analyze", bad, "--out", tmp_path / "fit") == 2
+    assert "error: row 7 has an impossible value" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_corrupted_event_file_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bmixlhv import montecarlo
+from bmixlhv import model, montecarlo, streams
 from bmixlhv.model import Flavour, ModelParams
 from bmixlhv.montecarlo import (
     GENERATE_BLOCK_EVENTS,
@@ -402,6 +402,14 @@ def test_event_file_rejects_malformed_rows(tmp_path):
         "reversed": (header + "".join(reversed(rows)), "out of order"),
         "hdr": ("".join(line for line in lines if not line.startswith("# seed=")), "missing"),
     }
+    # impossible values, each in the second row, which the message must name
+    for column, values in ((1, ("99.0", "-0.5", "6.283185307179586", "nan", "inf")),
+                           (2, ("nan", "-3.0", "inf", "-inf")),
+                           (4, ("nan", "-1e-300", "inf"))):
+        for value in values:
+            bad_row = with_field(rows[1], column, value)
+            cases[f"value_{column}_{value}"] = (header + rows[0] + bad_row + rows[2],
+                                               r"row 1 has an impossible value")
     for name, (content, problem) in cases.items():
         path = tmp_path / f"{name}.csv"
         path.write_text(content)
@@ -472,6 +480,60 @@ def test_rejection_overflow_raises():
     )
     with pytest.raises(RejectionOverflowError):
         generate(cfg)
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, 13, 40, 200, 10_000])
+def test_multi_cursor_rounds_change_no_draw(monkeypatch, max_iters):
+    # a floor of one pair per call is the plain loop, one proposal per lane
+    # per round; the default draws several per lane once few are pending,
+    # and a block-sized floor draws far ahead.  Events, stats and the depth
+    # at which the per-lane budget runs out must not depend on it
+    cfg = SimConfig(params=ModelParams(1.0, 0.01), n_events=5000, seed=4,
+                    max_rejection_iters=max_iters)
+
+    def outcome():
+        try:
+            batch = generate_events(cfg, 0, cfg.n_events)
+        except RejectionOverflowError as exc:
+            return str(exc)
+        return batch
+
+    default = outcome()
+    for floor in (1, GENERATE_BLOCK_EVENTS):
+        monkeypatch.setattr(montecarlo, "_MIN_DRAWS_PER_CALL", floor)
+        assert outcome() == default
+    if max_iters <= 40:
+        assert "exceeded its iteration budget" in default
+    else:
+        assert default.rng_stats.t2_proposals > cfg.n_events
+
+
+def test_long_rejection_chains_take_few_rounds(monkeypatch):
+    # at x = 0.01 phases near pi/2 thin t2 by |cos lam| ~ 0 for hundreds of
+    # proposals; one proposal per lane per round took over 400 rounds per
+    # block, each a full Philox call
+    calls = []
+
+    def counted(seed, event_indices, cursors):
+        calls.append(event_indices.size)
+        return uniform_pair_block(seed, event_indices, cursors)
+
+    monkeypatch.setattr(montecarlo, "uniform_pair_block", counted)
+    cfg = _config(n=GENERATE_BLOCK_EVENTS, seed=11, dm=0.01)
+    batch = generate_events(cfg, 0, cfg.n_events)
+    assert len(calls) <= 20
+    # each call carries at least an eighth of a block
+    assert min(calls) >= GENERATE_BLOCK_EVENTS // 8
+    stats = batch.rng_stats
+    assert sum(calls) >= stats.lambda_proposals + stats.t2_proposals + cfg.n_events
+
+
+def test_largest_uniform_keeps_the_phase_below_two_pi():
+    # the reader rejects lambda >= 2pi, so the generator must never emit it:
+    # the largest 53-bit uniform is 1 - 2^-53, and 2pi times it rounds below 2pi
+    (top,) = streams._to_uniform(np.array([2**64 - 1], dtype=np.uint64))
+    assert top == 1.0 - 2.0**-53
+    assert model.TWO_PI * top < model.TWO_PI
 
 
 def test_batch_length_and_equality():
