@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, help="output directory (default: out)")
         sp.add_argument("--format", dest="format",
                         help="comma-separated subset of: " + ",".join(reporting.FORMATS))
-        sp.add_argument("--threads", type=int, help="worker threads for generation")
+        sp.add_argument("--threads", type=int,
+                        help="workers for generation and event-file formatting")
 
     def add_sim(sp):
         sp.add_argument("--events", type=int, help="number of events to generate")
@@ -360,7 +361,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     batch, physical = _simulate_batch(cfg)
     out = _ensure_out(cfg)
     event_path = out / "events.csv"
-    montecarlo.write_events(batch, physical, event_path)
+    montecarlo.write_events(batch, physical, event_path, workers=cfg.threads)
 
     stats = batch.rng_stats
     manifest = {

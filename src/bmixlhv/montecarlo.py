@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,15 +56,17 @@ _ENVELOPE_SCALE = 4.0  # acceptance prob = rho / (1/4) = 4 * rho
 
 EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped")
 
-# rows formatted per write; bounds the text held in memory to a few MB
-WRITE_CHUNK_ROWS = 65_536
+# rows formatted per block and write; bounds the text each process holds,
+# a few MB.  No output byte depends on it.
+WRITE_CHUNK_ROWS = 32_768
 
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
 GENERATE_BLOCK_EVENTS = 65_536
 
-# uniform pairs a rejection round draws at least, an eighth of a block: once
-# few lanes are pending, each draws several proposals per round
+# uniform pairs a rejection round draws at least, an eighth of a block (an
+# eighth of the range for a shorter range): once few lanes are pending, each
+# draws several proposals per round
 _MIN_DRAWS_PER_CALL = GENERATE_BLOCK_EVENTS // 8
 
 # dtype of each EventBatch column as generated
@@ -187,19 +190,21 @@ def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test
     pending when the per-lane budget ``max_rejection_iters`` ran out.
 
     ``test(lanes, u_a, u_b)`` maps the uniform pairs drawn for ``lanes`` to
-    (accepted, value) arrays.  Once fewer than :data:`_MIN_DRAWS_PER_CALL`
-    lanes are pending, each call draws k consecutive cursors per pending
-    lane.  A lane keeps its first accepted proposal, and its cursor and the
-    proposal count advance only up to it, so no result depends on k; every
-    pending lane has always used the same number of proposals.  Advances
-    each lane's ``cursor`` in place by the proposals it used.
+    (accepted, value) arrays.  Each call draws at least a floor of
+    :data:`_MIN_DRAWS_PER_CALL` pairs, or an eighth of the lanes if that is
+    less, so once few lanes are pending it draws k consecutive cursors per
+    pending lane.  A lane keeps its first accepted proposal, and its cursor
+    and the proposal count advance only up to it, so no result depends on
+    k; every pending lane has always used the same number of proposals.
+    Advances each lane's ``cursor`` in place by the proposals it used.
     """
     values = np.empty(idx.size)
     spent = np.zeros(idx.size, dtype=np.uint64)  # proposals each lane used
     pending = np.arange(idx.size)
     used = 0
+    floor = min(_MIN_DRAWS_PER_CALL, -(-idx.size // 8))
     while pending.size and used < config.max_rejection_iters:
-        k = min(-(-_MIN_DRAWS_PER_CALL // pending.size), config.max_rejection_iters - used)
+        k = min(-(-floor // pending.size), config.max_rejection_iters - used)
         # row j holds every pending lane's (used + j)-th proposal
         lanes = np.tile(pending, k)
         steps = np.arange(used, used + k, dtype=np.uint64)[:, None]
@@ -320,34 +325,70 @@ def _header_lines(config: SimConfig, batch: EventBatch) -> list[str]:
                           columns=",".join(EVENT_COLUMNS))
 
 
-def write_events(batch: EventBatch, config: SimConfig, path) -> None:
+def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> str:
+    """The event-file rows of one block of columns, one line per event."""
+    rows = zip(
+        index.tolist(),
+        lam.tolist(),
+        t1.tolist(),
+        _LABEL_BY_CODE[flavour1].tolist(),
+        t2.tolist(),
+        _LABEL_BY_CODE[flavour2].tolist(),
+        swapped.astype(np.uint8).tolist(),
+    )
+    return "".join([
+        f"{i},{lam!r},{t1!r},{f1},{t2!r},{f2},{sw}\n"
+        for i, lam, t1, f1, t2, f2, sw in rows
+    ])
+
+
+def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -> None:
     """Write the delimited event file (header comments + one row per event).
 
-    Rows are formatted column-wise in blocks of :data:`WRITE_CHUNK_ROWS`;
+    Rows are formatted column-wise by :func:`_format_rows` in blocks of
+    :data:`WRITE_CHUNK_ROWS`.  With ``workers`` above 1 and more than one
+    block, the blocks are formatted on ``min(workers, blocks)`` forked
+    processes and written in order as they return; the pool is shut down
+    before the call returns.  The bytes do not depend on ``workers``, and
     the file appears under ``path`` only once it is complete.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if config_fingerprint(config) != batch.config_fingerprint:
         raise ValueError("batch fingerprint does not match the supplied configuration")
     for codes in (batch.flavour1, batch.flavour2):
         if not np.isin(codes, (Flavour.B0, Flavour.B0BAR)).all():
             raise ValueError("flavour codes must be those of B0 and B0bar")
-    with open_atomic(path) as fh:
-        fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
-        for start in range(0, len(batch), WRITE_CHUNK_ROWS):
-            block = slice(start, start + WRITE_CHUNK_ROWS)
-            rows = zip(
-                batch.index[block].tolist(),
-                batch.lam[block].tolist(),
-                batch.t1[block].tolist(),
-                _LABEL_BY_CODE[batch.flavour1[block]].tolist(),
-                batch.t2[block].tolist(),
-                _LABEL_BY_CODE[batch.flavour2[block]].tolist(),
-                batch.swapped[block].astype(np.uint8).tolist(),
-            )
-            fh.write("".join([
-                f"{i},{lam!r},{t1!r},{f1},{t2!r},{f2},{sw}\n"
-                for i, lam, t1, f1, t2, f2, sw in rows
-            ]))
+    starts = range(0, len(batch), WRITE_CHUNK_ROWS)
+    # one list of block slices per column, in _format_rows' argument order
+    columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
+               for name in _COLUMN_DTYPES]
+    workers = min(workers, len(starts))
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # fork, not spawn (each worker would re-import numpy and the package)
+        # nor forkserver (its server outlives the pool).  Workers ignore
+        # SIGINT, so an interrupt reaches only this process, which shuts the
+        # pool down.  Without fork the blocks are formatted here.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        # pool.map submits every block, forking the workers, before the file
+        # is opened, so no worker inherits an unflushed buffer of it
+        texts = map(_format_rows, *columns) if pool is None else pool.map(_format_rows, *columns)
+        with open_atomic(path) as fh:
+            fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
+            for text in texts:
+                fh.write(text)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _reject_rows(bad: np.ndarray, problem: str) -> None:

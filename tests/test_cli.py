@@ -375,9 +375,9 @@ def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
     assert point["fitted_delta_m"] is None
 
 
-def _loaded_scipy_modules(tmp_path, *argv):
-    """scipy modules loaded in a fresh interpreter after importing the CLI
-    and running ``main(argv)``, if given."""
+def _loaded_modules(tmp_path, *argv):
+    """Modules loaded in a fresh interpreter after importing the CLI and
+    running ``main(argv)``, if given."""
     src = str(Path(bmixlhv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -386,23 +386,37 @@ def _loaded_scipy_modules(tmp_path, *argv):
         f"argv = {[str(a) for a in argv]!r}\n"
         "if argv:\n"
         "    assert bmixlhv.cli.main(argv) == 0\n"
-        "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('loaded:', *sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, cwd=tmp_path)
     return set(done.stdout.splitlines()[-1].split()[1:])
 
 
+def _scipy(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+# the event-file writer imports these only to format on worker processes
+_POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
+
+
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # importing scipy costs most of a command's start-up; only the fit's
-    # p-values need it, from scipy.special, and it loads on the first fit
-    assert _loaded_scipy_modules(tmp_path) == set()
-    assert _loaded_scipy_modules(tmp_path, "simulate", "--x", 0.776, "--events", 3000,
-                                 "--seed", 4, "--out", tmp_path / "sim") == set()
-    assert _loaded_scipy_modules(tmp_path, "verify", "--x", 2.0,
-                                 "--out", tmp_path / "verify") == set()
-    fitted = _loaded_scipy_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
-                                   "--out", tmp_path / "fit")
+    # p-values need it, from scipy.special, and it loads on the first fit.
+    # The process pool's modules load only for a multi-block event file
+    imported = _loaded_modules(tmp_path)
+    assert _scipy(imported) == set()
+    assert not imported & _POOL_MODULES
+    simulated = _loaded_modules(tmp_path, "simulate", "--x", 0.776, "--events", 3000,
+                                "--seed", 4, "--threads", 2, "--out", tmp_path / "sim")
+    assert _scipy(simulated) == set()
+    assert not simulated & _POOL_MODULES
+    verified = _loaded_modules(tmp_path, "verify", "--x", 2.0, "--out", tmp_path / "verify")
+    assert _scipy(verified) == set()
+    assert not verified & _POOL_MODULES
+    fitted = _scipy(_loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
+                                    "--out", tmp_path / "fit"))
     assert "scipy.special" in fitted
     assert not {m for m in fitted if m.startswith(("scipy.optimize", "scipy.stats"))}
 

@@ -363,6 +363,76 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
+def _spy_on_pool_sizes(monkeypatch) -> list:
+    """The worker count of every process pool write_events maps blocks on."""
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    sizes = []
+    real_init = ProcessPoolExecutor.__init__
+
+    def spied(pool, max_workers=None, *args, **kwargs):
+        sizes.append(max_workers)
+        real_init(pool, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spied)
+    return sizes
+
+
+def test_worker_count_changes_no_event_file_byte(tmp_path, monkeypatch):
+    # two full write blocks and a partial third, formatted inline and on
+    # two and three worker processes
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1000)
+    pool_sizes = _spy_on_pool_sizes(monkeypatch)
+    cfg = _config(n=2 * 1000 + 7, seed=5, symmetrized=True)
+    batch = generate(cfg)
+    written = {}
+    for workers in (1, 2, 4):
+        path = tmp_path / f"events{workers}.csv"
+        write_events(batch, cfg, path, workers=workers)
+        written[workers] = path.read_bytes()
+    assert pool_sizes == [2, 3]
+    assert written[2] == written[1] and written[4] == written[1]
+    loaded, loaded_cfg = read_events(tmp_path / "events4.csv")
+    assert loaded == batch
+    assert loaded_cfg == cfg
+    # a single block is formatted inline, whatever the worker count
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1 << 20)
+    write_events(batch, cfg, tmp_path / "one_block.csv", workers=4)
+    assert pool_sizes == [2, 3]
+    assert (tmp_path / "one_block.csv").read_bytes() == written[1]
+    with pytest.raises(ValueError, match="workers"):
+        write_events(batch, cfg, tmp_path / "none.csv", workers=0)
+
+
+_FORMAT_ROWS = montecarlo._format_rows
+_FAILING_BLOCK_START = 1000
+
+
+def _format_rows_failing_on_one_block(index, *columns):
+    """Picklable by name, so a forked worker runs it in place of the real one."""
+    if index[0] == _FAILING_BLOCK_START:
+        raise ArithmeticError(f"block at row {_FAILING_BLOCK_START} cannot be formatted")
+    return _FORMAT_ROWS(index, *columns)
+
+
+def test_failing_worker_block_reaches_the_caller(tmp_path, monkeypatch):
+    import multiprocessing
+
+    cfg = _config(n=5 * _FAILING_BLOCK_START)
+    batch = generate(cfg)
+    path = tmp_path / "events.csv"
+    write_events(batch, cfg, path)
+    before = path.read_bytes()
+
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", _FAILING_BLOCK_START)
+    monkeypatch.setattr(montecarlo, "_format_rows", _format_rows_failing_on_one_block)
+    with pytest.raises(ArithmeticError, match="block at row 1000"):
+        write_events(batch, cfg, path, workers=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    assert multiprocessing.active_children() == []
+
+
 def test_event_file_rejects_fingerprint_tampering(tmp_path):
     cfg = _config(n=5)
     batch = generate(cfg)
@@ -486,8 +556,9 @@ def test_rejection_overflow_raises():
 def test_multi_cursor_rounds_change_no_draw(monkeypatch, max_iters):
     # a floor of one pair per call is the plain loop, one proposal per lane
     # per round; the default draws several per lane once few are pending,
-    # and a block-sized floor draws far ahead.  Events, stats and the depth
-    # at which the per-lane budget runs out must not depend on it
+    # and a block-sized floor, capped at an eighth of the 5000 lanes, draws
+    # further ahead.  Events, stats and the depth at which the per-lane
+    # budget runs out must not depend on it
     cfg = SimConfig(params=ModelParams(1.0, 0.01), n_events=5000, seed=4,
                     max_rejection_iters=max_iters)
 
@@ -526,6 +597,26 @@ def test_long_rejection_chains_take_few_rounds(monkeypatch):
     assert min(calls) >= GENERATE_BLOCK_EVENTS // 8
     stats = batch.rng_stats
     assert sum(calls) >= stats.lambda_proposals + stats.t2_proposals + cfg.n_events
+
+
+@pytest.mark.parametrize("n_events, start", [(1, 0), (300, 0), (1_000_000, 983_040)])
+def test_short_ranges_draw_few_pairs_beyond_those_used(monkeypatch, n_events, start):
+    # a range shorter than a block (one event, a small run, the last
+    # 16 960 events of 10^6) caps each round's floor at an eighth of the
+    # range; a fixed floor of 8192 pairs drew 16 386 pairs for one event
+    drawn = []
+
+    def counted(seed, event_indices, cursors):
+        drawn.append(event_indices.size)
+        return uniform_pair_block(seed, event_indices, cursors)
+
+    monkeypatch.setattr(montecarlo, "uniform_pair_block", counted)
+    cfg = _config(n=n_events, seed=3, symmetrized=True)
+    batch = generate_events(cfg, start, cfg.n_events)
+    stats = batch.rng_stats
+    # each event also draws one pair for t1 and one for the swap
+    used = stats.lambda_proposals + stats.t2_proposals + 2 * len(batch)
+    assert sum(drawn) <= 1.2 * used
 
 
 def test_largest_uniform_keeps_the_phase_below_two_pi():
