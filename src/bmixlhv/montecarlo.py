@@ -184,25 +184,31 @@ class EventBatch:
 # ---------------------------------------------------------------------------
 # vectorized generation
 
+def _draw_floor(lanes: int) -> int:
+    """Uniform pairs a rejection round over ``lanes`` lanes draws at least:
+    :data:`_MIN_DRAWS_PER_CALL`, or an eighth of the lanes if that is less."""
+    return min(_MIN_DRAWS_PER_CALL, -(-lanes // 8))
+
+
 def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test):
     """Envelope rejection on every lane: the value of each lane's first
     accepted proposal, the number of proposals made, and the lanes still
     pending when the per-lane budget ``max_rejection_iters`` ran out.
 
     ``test(lanes, u_a, u_b)`` maps the uniform pairs drawn for ``lanes`` to
-    (accepted, value) arrays.  Each call draws at least a floor of
-    :data:`_MIN_DRAWS_PER_CALL` pairs, or an eighth of the lanes if that is
-    less, so once few lanes are pending it draws k consecutive cursors per
-    pending lane.  A lane keeps its first accepted proposal, and its cursor
-    and the proposal count advance only up to it, so no result depends on
-    k; every pending lane has always used the same number of proposals.
+    (accepted, value) arrays.  Each call draws at least
+    :func:`_draw_floor` pairs, so once few lanes are pending it draws k
+    consecutive cursors per pending lane.  A lane keeps its first accepted
+    proposal, and its cursor and the proposal count advance only up to it,
+    so no result depends on k; every pending lane has always used the same
+    number of proposals.
     Advances each lane's ``cursor`` in place by the proposals it used.
     """
     values = np.empty(idx.size)
     spent = np.zeros(idx.size, dtype=np.uint64)  # proposals each lane used
     pending = np.arange(idx.size)
     used = 0
-    floor = min(_MIN_DRAWS_PER_CALL, -(-idx.size // 8))
+    floor = _draw_floor(idx.size)
     while pending.size and used < config.max_rejection_iters:
         k = min(-(-floor // pending.size), config.max_rejection_iters - used)
         # row j holds every pending lane's (used + j)-th proposal
@@ -370,9 +376,12 @@ def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -
         from concurrent.futures.process import ProcessPoolExecutor
 
         # fork, not spawn (each worker would re-import numpy and the package)
-        # nor forkserver (its server outlives the pool).  Workers ignore
-        # SIGINT, so an interrupt reaches only this process, which shuts the
-        # pool down.  Without fork the blocks are formatted here.
+        # nor forkserver (its server outlives the pool).  With fork, the
+        # executor of Python >= 3.11 forks every worker before it starts its
+        # manager thread (CPython issue 90622), so no fork sees a thread of
+        # its own.  Workers ignore SIGINT, so an interrupt reaches only this
+        # process, which shuts the pool down.  Without fork the blocks are
+        # formatted here.
         if "fork" in multiprocessing.get_all_start_methods():
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"),

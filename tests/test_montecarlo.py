@@ -4,6 +4,8 @@ agreement of the sampled distributions with quadrature of the model laws."""
 import dataclasses
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -404,6 +406,25 @@ def test_worker_count_changes_no_event_file_byte(tmp_path, monkeypatch):
         write_events(batch, cfg, tmp_path / "none.csv", workers=0)
 
 
+def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
+    # a child forked while another thread of the parent holds a lock can
+    # deadlock; every worker must fork while only the caller's threads run
+    threads_at_fork = []
+    real_fork = os.fork
+
+    def fork():
+        threads_at_fork.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1000)
+    cfg = _config(n=4 * 1000)
+    batch = generate(cfg)
+    before = threading.active_count()
+    write_events(batch, cfg, tmp_path / "events.csv", workers=3)
+    assert threads_at_fork == [before] * 3
+
+
 _FORMAT_ROWS = montecarlo._format_rows
 _FAILING_BLOCK_START = 1000
 
@@ -554,11 +575,11 @@ def test_rejection_overflow_raises():
 
 @pytest.mark.parametrize("max_iters", [1, 5, 13, 40, 200, 10_000])
 def test_multi_cursor_rounds_change_no_draw(monkeypatch, max_iters):
-    # a floor of one pair per call is the plain loop, one proposal per lane
-    # per round; the default draws several per lane once few are pending,
-    # and a block-sized floor, capped at an eighth of the 5000 lanes, draws
-    # further ahead.  Events, stats and the depth at which the per-lane
-    # budget runs out must not depend on it
+    # a floor of one pair per round is the plain loop, one proposal per lane
+    # per round; the default draws several per lane once few are pending;
+    # a floor of 14 pairs per lane draws 14 proposals per lane from the
+    # first round, cut to the budget at 1, 5 and 13.  Events, stats and the
+    # depth at which the per-lane budget runs out must not depend on it
     cfg = SimConfig(params=ModelParams(1.0, 0.01), n_events=5000, seed=4,
                     max_rejection_iters=max_iters)
 
@@ -570,9 +591,19 @@ def test_multi_cursor_rounds_change_no_draw(monkeypatch, max_iters):
         return batch
 
     default = outcome()
-    for floor in (1, GENERATE_BLOCK_EVENTS):
-        monkeypatch.setattr(montecarlo, "_MIN_DRAWS_PER_CALL", floor)
+    drawn = []
+
+    def counted(seed, event_indices, cursors):
+        drawn.append(event_indices.size)
+        return uniform_pair_block(seed, event_indices, cursors)
+
+    monkeypatch.setattr(montecarlo, "uniform_pair_block", counted)
+    for per_lane in (1, 14):
+        monkeypatch.setattr(montecarlo, "_draw_floor", lambda lanes: per_lane * lanes)
+        drawn.clear()
         assert outcome() == default
+        # the first round is the lambda loop's, with every lane pending
+        assert drawn[0] == min(per_lane, max_iters) * cfg.n_events
     if max_iters <= 40:
         assert "exceeded its iteration budget" in default
     else:
