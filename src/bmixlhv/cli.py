@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="format",
                         help="comma-separated subset of: " + ",".join(reporting.FORMATS))
         sp.add_argument("--threads", type=int,
-                        help="workers for generation and event-file formatting")
+                        help="workers for generation and event-file formatting and parsing")
 
     def add_sim(sp):
         sp.add_argument("--events", type=int, help="number of events to generate")
@@ -390,9 +390,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     try:
-        batch, file_config = montecarlo.read_events(event_file)
-    except FileNotFoundError:
-        print(f"error: event file not found: {event_file}", file=sys.stderr)
+        batch, file_config = montecarlo.read_events(event_file, workers=cfg.threads)
+    except OSError as exc:
+        print(f"error: cannot read event file {event_file}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except montecarlo.EventFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,13 @@ t2 chains near lam = pi/2 at small x cost a few rounds, not hundreds.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
+import os
+import re
 import signal
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,6 +63,11 @@ EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped
 # rows formatted per block and write; bounds the text each process holds,
 # a few MB.  No output byte depends on it.
 WRITE_CHUNK_ROWS = 32_768
+
+# event-file body bytes parsed per block, each block extended to end at a
+# newline; bounds the text and rows each process holds, a few MB.  No
+# result or message depends on it.
+READ_BLOCK_BYTES = 2 << 20
 
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
@@ -325,6 +334,42 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
 # ---------------------------------------------------------------------------
 # event file round trip
 
+@contextlib.contextmanager
+def _fork_map(fn, workers: int, *sequences):
+    """``map(fn, *sequences)``, results in order, on a pool of
+    ``min(workers, len(sequences[0]))`` forked processes when that is above
+    1, else in this process.
+
+    Every item is submitted, forking every worker, on entry; on exit the
+    pool is shut down, and items not yet started are cancelled.
+    """
+    workers = min(workers, len(sequences[0]))
+    pool = None
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # fork, not spawn (each worker would re-import numpy and the package)
+        # nor forkserver (its server outlives the pool).  With fork, the
+        # executor of Python >= 3.11 forks every worker before it starts its
+        # manager thread (CPython issue 90622), so no fork sees a thread of
+        # its own.  Workers ignore SIGINT, so an interrupt reaches only this
+        # process, which shuts the pool down.  Without fork the items are
+        # mapped here.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+    if pool is None:
+        yield map(fn, *sequences)
+        return
+    try:
+        yield pool.map(fn, *sequences)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _header_lines(config: SimConfig, batch: EventBatch) -> list[str]:
     stats = asdict(batch.rng_stats) if batch.rng_stats is not None else {}
     return comment_header(batch.config_fingerprint, **_config_fields(config), **stats,
@@ -352,11 +397,11 @@ def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -
     """Write the delimited event file (header comments + one row per event).
 
     Rows are formatted column-wise by :func:`_format_rows` in blocks of
-    :data:`WRITE_CHUNK_ROWS`.  With ``workers`` above 1 and more than one
-    block, the blocks are formatted on ``min(workers, blocks)`` forked
-    processes and written in order as they return; the pool is shut down
-    before the call returns.  The bytes do not depend on ``workers``, and
-    the file appears under ``path`` only once it is complete.
+    :data:`WRITE_CHUNK_ROWS`, by :func:`_fork_map`: with ``workers`` above 1
+    and more than one block, on ``min(workers, blocks)`` forked processes,
+    which end before the call returns.  The blocks are written in order as
+    they return.  The bytes depend neither on ``workers`` nor on the block
+    size, and the file appears under ``path`` only once it is complete.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -369,35 +414,12 @@ def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -
     # one list of block slices per column, in _format_rows' argument order
     columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for name in _COLUMN_DTYPES]
-    workers = min(workers, len(starts))
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # fork, not spawn (each worker would re-import numpy and the package)
-        # nor forkserver (its server outlives the pool).  With fork, the
-        # executor of Python >= 3.11 forks every worker before it starts its
-        # manager thread (CPython issue 90622), so no fork sees a thread of
-        # its own.  Workers ignore SIGINT, so an interrupt reaches only this
-        # process, which shuts the pool down.  Without fork the blocks are
-        # formatted here.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"),
-                                       initializer=signal.signal,
-                                       initargs=(signal.SIGINT, signal.SIG_IGN))
-    try:
-        # pool.map submits every block, forking the workers, before the file
-        # is opened, so no worker inherits an unflushed buffer of it
-        texts = map(_format_rows, *columns) if pool is None else pool.map(_format_rows, *columns)
-        with open_atomic(path) as fh:
-            fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
-            for text in texts:
-                fh.write(text)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    # _fork_map submits every block, forking the workers, before the file is
+    # opened, so no worker inherits an unflushed buffer of it
+    with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
+        fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
+        for text in texts:
+            fh.write(text)
 
 
 def _reject_rows(bad: np.ndarray, problem: str) -> None:
@@ -406,101 +428,150 @@ def _reject_rows(bad: np.ndarray, problem: str) -> None:
         raise EventFileError(f"row {rows[0]} {problem}")
 
 
-def _flavour_codes(labels: np.ndarray, column: str) -> np.ndarray:
+def _flavour_codes(labels: np.ndarray) -> np.ndarray:
+    """The flavour code of each label; 0 for an unknown label."""
     codes = np.zeros(labels.shape, dtype=np.int8)
     for flavour in Flavour:
         codes[labels == flavour.label.encode()] = flavour
-    _reject_rows(codes == 0, f"has an unknown {column} label")
     return codes
 
 
-def read_events(path) -> tuple[EventBatch, SimConfig]:
+def _block_cuts(fh, start: int, end: int) -> list[int]:
+    """Offsets that cut bytes [start, end) of ``fh`` into blocks of about
+    :data:`READ_BLOCK_BYTES`, each but the last ending just after a newline."""
+    cuts = [start]
+    for nominal in range(start + READ_BLOCK_BYTES, end, READ_BLOCK_BYTES):
+        if nominal > cuts[-1]:  # else a line longer than a block covers it
+            fh.seek(nominal - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+    if cuts[-1] < end:
+        cuts.append(end)
+    return cuts
+
+
+def _parse_block(path, start: int, stop: int, max_rows: int | None = None) -> list:
+    """The rows in bytes [start, stop) of the event file ``path``, at most
+    ``max_rows`` of them, as EventBatch columns with flavour codes (0 for an
+    unknown label) and swapped flags as parsed.  Raises loadtxt's
+    ValueError, which counts rows from the block's first."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    rows = np.empty(0, dtype=_ROW_DTYPE)
+    if data.strip(b"\n"):  # loadtxt warns of a block of blank lines
+        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                          ndmin=1, max_rows=max_rows)
+    return [rows["index"], rows["lambda"], rows["t1"], _flavour_codes(rows["flavour1"]),
+            rows["t2"], _flavour_codes(rows["flavour2"]), rows["swapped"]]
+
+
+def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     """Parse an event file; validates the header against its own fingerprint
     and the rows against the header.
+
+    The body is parsed by :func:`_parse_block` in blocks of about
+    :data:`READ_BLOCK_BYTES`, each ending at a newline, by
+    :func:`_fork_map`: with ``workers`` above 1 and more than one block, on
+    ``min(workers, blocks)`` forked processes, which end before the call
+    returns.  The blocks fill preallocated columns in file order.  Neither
+    the batch nor any message depends on ``workers`` or on the block size.
 
     Raises :class:`EventFileError` unless the file holds exactly
     ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
     ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
-    nonnegative decay times; the message names the first bad row.
+    nonnegative decay times, under a UTF-8 header; the message names the
+    first bad row, counted from the first row of the file.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
-        has_rows = False
-        while True:
-            row_start = fh.tell()
-            line = fh.readline()
-            if not line:
+        for line in fh:
+            if line.startswith(b"#"):
+                try:
+                    key, _, value = line[1:].decode("utf-8").strip().partition("=")
+                except UnicodeDecodeError:
+                    raise EventFileError("event file header is not UTF-8 text") from None
+                header[key] = value
+            elif line.rstrip(b"\n"):
+                fh.seek(-len(line), os.SEEK_CUR)
                 break
-            line = line.decode("utf-8").rstrip("\n")
-            if not line:
-                continue
-            if not line.startswith("#"):
-                fh.seek(row_start)
-                has_rows = True
-                break
-            key, _, value = line[1:].strip().partition("=")
-            header[key] = value
+        cuts = _block_cuts(fh, fh.tell(), os.fstat(fh.fileno()).st_size)
 
-        required = ("fingerprint", "tau", "delta_m", "n_events", "seed",
-                    "symmetrized", "max_rejection_iters")
-        missing = [key for key in required if key not in header]
-        if missing:
-            raise EventFileError(f"event file header is missing {missing}")
-        try:
-            config = SimConfig(
-                params=ModelParams(float(header["tau"]), float(header["delta_m"])),
-                n_events=int(header["n_events"]),
-                seed=int(header["seed"]),
-                symmetrized=bool(int(header["symmetrized"])),
-                max_rejection_iters=int(header["max_rejection_iters"]),
-            )
-        except ValueError as exc:
-            raise EventFileError(f"invalid event file header: {exc}") from None
-        if config_fingerprint(config) != header["fingerprint"]:
-            raise EventFileError("event file fingerprint does not match its header fields")
-
-        n = config.n_events
-        rows = np.empty(0, dtype=_ROW_DTYPE)
-        if has_rows:
-            try:
-                # one row past n_events is enough to tell an overlong file
-                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                                  ndmin=1, max_rows=n + 1)
-            except ValueError as exc:
-                raise EventFileError(f"malformed event row: {exc}") from None
-
-    if rows.size != n:
-        found = f"more than {n}" if rows.size > n else rows.size
-        raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
-    _reject_rows(rows["index"] != np.arange(n, dtype=np.uint64),
-                 "is out of order: its index is not its position")
-    _reject_rows(rows["swapped"] > 1, "has a swapped flag other than 0 or 1")
-    # NaN fails every comparison, so each test below also rejects it
-    _reject_rows(~((rows["lambda"] >= 0.0) & (rows["lambda"] < TWO_PI))
-                 | ~((rows["t1"] >= 0.0) & (rows["t1"] < np.inf))
-                 | ~((rows["t2"] >= 0.0) & (rows["t2"] < np.inf)),
-                 "has an impossible value: lambda must lie in [0, 2pi), "
-                 "t1 and t2 must be finite and nonnegative")
-
-    stats = None
-    if "lambda_proposals" in header and "t2_proposals" in header:
+    # the acceptance stats are optional, but all or none
+    stats_keys = [field.name for field in fields(RngStats)]
+    has_stats = any(key in header for key in stats_keys)
+    required = ["fingerprint", "tau", "delta_m", "n_events", "seed", "symmetrized",
+                "max_rejection_iters", *(stats_keys if has_stats else ())]
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise EventFileError(f"event file header is missing {missing}")
+    try:
+        config = SimConfig(
+            params=ModelParams(float(header["tau"]), float(header["delta_m"])),
+            n_events=int(header["n_events"]),
+            seed=int(header["seed"]),
+            symmetrized=bool(int(header["symmetrized"])),
+            max_rejection_iters=int(header["max_rejection_iters"]),
+        )
         stats = RngStats(
             lambda_acceptance_rate=float(header["lambda_acceptance_rate"]),
             t2_acceptance_rate=float(header["t2_acceptance_rate"]),
             lambda_proposals=int(header["lambda_proposals"]),
             t2_proposals=int(header["t2_proposals"]),
-        )
-    return (
-        EventBatch(
-            index=np.ascontiguousarray(rows["index"]),
-            lam=np.ascontiguousarray(rows["lambda"]),
-            t1=np.ascontiguousarray(rows["t1"]),
-            flavour1=_flavour_codes(rows["flavour1"], "flavour1"),
-            t2=np.ascontiguousarray(rows["t2"]),
-            flavour2=_flavour_codes(rows["flavour2"], "flavour2"),
-            swapped=rows["swapped"].astype(bool),
-            config_fingerprint=header["fingerprint"],
-            rng_stats=stats,
-        ),
-        config,
-    )
+        ) if has_stats else None
+    except ValueError as exc:
+        raise EventFileError(f"invalid event file header: {exc}") from None
+    if config_fingerprint(config) != header["fingerprint"]:
+        raise EventFileError("event file fingerprint does not match its header fields")
+
+    n = config.n_events
+    # a row that parses holds 11 bytes at least ("0,0,0,,0,,0") and all but
+    # the last a newline, so the columns never outgrow the body, whatever
+    # n_events says.  The swapped flags stay uint8 until they are checked
+    size = min(n, (cuts[-1] - cuts[0] + 1) // 12)
+    columns = {name: np.empty(size, dtype=dtype)
+               for name, dtype in {**_COLUMN_DTYPES, "swapped": np.uint8}.items()}
+    filled = 0  # rows parsed so far
+    blocks = list(zip(cuts, cuts[1:]))
+    with _fork_map(_parse_block, workers, [path] * len(blocks), cuts[:-1], cuts[1:]) as parts:
+        for start, stop in blocks:
+            try:
+                part = next(parts)
+            except ValueError:
+                # past its (n+1)-th row a file is overlong, whatever follows
+                try:
+                    _parse_block(path, start, stop, max_rows=n + 1 - filled)
+                except ValueError as exc:
+                    # loadtxt's row number, counted from the file's first row
+                    message = re.sub(r"^(.*at row )(\d+)",
+                                     lambda m: f"{m[1]}{int(m[2]) + filled}", str(exc),
+                                     count=1, flags=re.S)
+                    raise EventFileError(f"malformed event row: {message}") from None
+                filled = n + 1
+                break
+            count = part[0].size
+            filled += count
+            if filled > size:  # then size is n: the file is overlong
+                break
+            for column, values in zip(columns.values(), part):
+                column[filled - count:filled] = values
+
+    if filled != n:
+        found = f"more than {n}" if filled > n else filled
+        raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
+    _reject_rows(columns["index"] != np.arange(n, dtype=np.uint64),
+                 "is out of order: its index is not its position")
+    _reject_rows(columns["swapped"] > 1, "has a swapped flag other than 0 or 1")
+    # NaN fails every comparison, so each test below also rejects it
+    _reject_rows(~((columns["lam"] >= 0.0) & (columns["lam"] < TWO_PI))
+                 | ~((columns["t1"] >= 0.0) & (columns["t1"] < np.inf))
+                 | ~((columns["t2"] >= 0.0) & (columns["t2"] < np.inf)),
+                 "has an impossible value: lambda must lie in [0, 2pi), "
+                 "t1 and t2 must be finite and nonnegative")
+    for name in ("flavour1", "flavour2"):
+        _reject_rows(columns[name] == 0, f"has an unknown {name} label")
+    columns["swapped"] = columns["swapped"].view(np.bool_)
+    return EventBatch(**columns, config_fingerprint=header["fingerprint"],
+                      rng_stats=stats), config

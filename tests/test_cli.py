@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmixlhv
 from bmixlhv import cli
@@ -397,7 +398,7 @@ def _scipy(modules):
     return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
-# the event-file writer imports these only to format on worker processes
+# the event-file writer and reader import these only for worker processes
 _POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
 
 
@@ -415,8 +416,11 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     verified = _loaded_modules(tmp_path, "verify", "--x", 2.0, "--out", tmp_path / "verify")
     assert _scipy(verified) == set()
     assert not verified & _POOL_MODULES
-    fitted = _scipy(_loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
-                                    "--out", tmp_path / "fit"))
+    # the 3000-event file is one read block: it is parsed inline
+    analyzed = _loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
+                               "--threads", 2, "--out", tmp_path / "fit")
+    assert not analyzed & _POOL_MODULES
+    fitted = _scipy(analyzed)
     assert "scipy.special" in fitted
     assert not {m for m in fitted if m.startswith(("scipy.optimize", "scipy.stats"))}
 
@@ -493,6 +497,46 @@ def test_corrupted_event_file_exits_2(tmp_path, capsys):
         (tmp_path / name).write_text("".join(kept))
         assert run("analyze", tmp_path / name, "--out", tmp_path / "fit") == 2
         assert "n_events=10" in capsys.readouterr().err
+
+
+def test_analyze_of_an_unreadable_path_exits_2(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.csv"):
+        assert run("analyze", path, "--out", tmp_path / "fit") == 2
+        assert f"error: cannot read event file {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.fixture(scope="module")
+def small_event_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert run("simulate", "--x", 0.776, "--events", 40, "--seed", 8, "--out", out) == 0
+    return (out / "events.csv").read_bytes()
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(("flip", "insert", "delete")), st.floats(0.0, 1.0,
+              exclude_max=True), st.integers(0, 255)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_analyze_survives_random_byte_edits(tmp_path, capsys, small_event_file, edits):
+    # a flip XORs a byte with a nonzero mask; positions are fractions of the
+    # current length, so shrinking keeps them inside the file
+    data = bytearray(small_event_file)
+    for kind, where, value in edits:
+        at = int(where * len(data))
+        if kind == "flip":
+            data[at] ^= value or 1
+        elif kind == "insert":
+            data.insert(at, value)
+        else:
+            del data[at]
+    path = tmp_path / "edited.csv"
+    path.write_bytes(bytes(data))
+    assert run("analyze", path, "--out", tmp_path / "fit") in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_missing_subcommand_is_an_argparse_error():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -16,6 +17,7 @@ from bmixlhv import model, montecarlo, streams
 from bmixlhv.model import Flavour, ModelParams
 from bmixlhv.montecarlo import (
     GENERATE_BLOCK_EVENTS,
+    READ_BLOCK_BYTES,
     WRITE_CHUNK_ROWS,
     EventBatch,
     EventFileError,
@@ -91,9 +93,11 @@ def test_blocks_reassemble_the_whole_range():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_generate_memory_does_not_grow_with_n(workers):
     """Peak traced memory beyond the result's own columns stays flat from
-    2 to 8 generation blocks; it once grew by about 167 bytes per event."""
+    4 to 16 generation blocks; it once grew by about 167 bytes per event.
+    Two workers' temporaries peak together in some runs of 2 blocks and
+    apart in others, a 2 MiB swing; from 4 blocks on they always overlap."""
     excess = {}
-    for blocks in (2, 8):
+    for blocks in (4, 16):
         tracemalloc.start()
         try:
             batch = generate(_config(n=blocks * GENERATE_BLOCK_EVENTS), workers=workers)
@@ -101,7 +105,7 @@ def test_generate_memory_does_not_grow_with_n(workers):
         finally:
             tracemalloc.stop()
         excess[blocks] = peak - sum(getattr(batch, name).nbytes for name in EVENT_BATCH_COLUMNS)
-    growth_per_event = (excess[8] - excess[2]) / (6 * GENERATE_BLOCK_EVENTS)
+    growth_per_event = (excess[16] - excess[4]) / (12 * GENERATE_BLOCK_EVENTS)
     assert growth_per_event < 8.0, excess
 
 
@@ -366,7 +370,7 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
 
 
 def _spy_on_pool_sizes(monkeypatch) -> list:
-    """The worker count of every process pool write_events maps blocks on."""
+    """The worker count of every process pool blocks are mapped on."""
     from concurrent.futures.process import ProcessPoolExecutor
 
     sizes = []
@@ -423,6 +427,9 @@ def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
     before = threading.active_count()
     write_events(batch, cfg, tmp_path / "events.csv", workers=3)
     assert threads_at_fork == [before] * 3
+    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", 50_000)
+    assert read_events(tmp_path / "events.csv", workers=3)[0] == batch
+    assert threads_at_fork == [before] * 6
 
 
 _FORMAT_ROWS = montecarlo._format_rows
@@ -452,6 +459,105 @@ def test_failing_worker_block_reaches_the_caller(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
     assert multiprocessing.active_children() == []
+
+
+# a 2007-event file in read blocks of 60 000 bytes: the third and last
+# block starts near row 1620
+_READ_TEST_BLOCK_BYTES = 60_000
+_THIRD_BLOCK_ROW = 1990
+
+
+def _event_file_in_read_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", _READ_TEST_BLOCK_BYTES)
+    cfg = _config(n=2007, seed=5, symmetrized=True)
+    batch = generate(cfg)
+    path = tmp_path / "events.csv"
+    write_events(batch, cfg, path)
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.startswith(b"#"):
+                body = fh.tell() - len(line)
+                break
+        cuts = montecarlo._block_cuts(fh, body, path.stat().st_size)
+    assert len(cuts) == 4 and cuts[2] < path.read_bytes().index(f"\n{_THIRD_BLOCK_ROW},".encode())
+    return batch, cfg, path
+
+
+def test_worker_count_changes_no_parsed_row(tmp_path, monkeypatch):
+    batch, cfg, path = _event_file_in_read_blocks(tmp_path, monkeypatch)
+    # the last row without its newline
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    pool_sizes = _spy_on_pool_sizes(monkeypatch)
+    for workers in (1, 2, 4):
+        loaded, loaded_cfg = read_events(path, workers=workers)
+        assert loaded == batch
+        assert loaded_cfg == cfg
+        assert loaded.swapped.dtype == np.bool_ and loaded.flavour1.dtype == np.int8
+    assert pool_sizes == [2, 3]
+    # a single block is parsed inline, whatever the worker count
+    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", READ_BLOCK_BYTES)
+    assert read_events(path, workers=4)[0] == batch
+    assert pool_sizes == [2, 3]
+    with pytest.raises(ValueError, match="workers"):
+        read_events(path, workers=0)
+
+
+def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
+    import multiprocessing
+
+    _, _, path = _event_file_in_read_blocks(tmp_path, monkeypatch)
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    at = rows[_THIRD_BLOCK_ROW]
+    row = _THIRD_BLOCK_ROW
+
+    def edited(column, value):
+        fields = lines[at].split(",")
+        fields[column] = value
+        return lines[:at] + [",".join(fields)] + lines[at + 1:]
+
+    cases = {
+        "label": (edited(3, "B1"), f"row {row} has an unknown flavour1 label"),
+        "order": (lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:],
+                  f"row {row} is out of order"),
+        "value": (edited(1, "99.0"), f"row {row} has an impossible value"),
+        "number": (edited(2, "1.2.3"), f"'1.2.3' to float64 at row {row}, column 3"),
+        "columns": (edited(6, "0,1\n"), f"8 were found at row {row + 1};"),
+        # loadtxt reads no row past the (n+1)-th of an overlong file
+        "overlong": (lines + lines[-3:-2] + ["x\n"], "has more than 2007 rows"),
+    }
+    for name, (content, problem) in cases.items():
+        path.write_text("".join(content))
+        messages = set()
+        for workers in (1, 2):
+            with pytest.raises(EventFileError, match=re.escape(problem)) as exc:
+                read_events(path, workers=workers)
+            messages.add(str(exc.value))
+            assert multiprocessing.active_children() == []
+        assert len(messages) == 1, messages
+
+
+def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
+    cfg = _config(n=3)
+    path = tmp_path / "events.csv"
+    write_events(generate(cfg), cfg, path)
+    huge = dataclasses.replace(cfg, n_events=10**12)
+    replaced = {"# fingerprint=": config_fingerprint(huge), "# n_events=": str(10**12)}
+    lines = []
+    for line in path.read_text().splitlines(keepends=True):
+        for prefix, value in replaced.items():
+            if line.startswith(prefix):
+                line = f"{prefix}{value}\n"
+        lines.append(line)
+    path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventFileError, match=r"has 3 rows, its header says n_events=10{12}"):
+            read_events(path, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_event_file_rejects_fingerprint_tampering(tmp_path):
@@ -492,6 +598,10 @@ def test_event_file_rejects_malformed_rows(tmp_path):
         "empty": (header, "n_events"),
         "reversed": (header + "".join(reversed(rows)), "out of order"),
         "hdr": ("".join(line for line in lines if not line.startswith("# seed=")), "missing"),
+        # the acceptance stats lie outside the fingerprint, but are checked too
+        "stats": (text.replace("# t2_acceptance_rate=", "# t2_acceptance_rate=x"), "invalid"),
+        "part_stats": ("".join(line for line in lines
+                               if not line.startswith("# lambda_acceptance_rate=")), "missing"),
     }
     # impossible values, each in the second row, which the message must name
     for column, values in ((1, ("99.0", "-0.5", "6.283185307179586", "nan", "inf")),
@@ -501,9 +611,14 @@ def test_event_file_rejects_malformed_rows(tmp_path):
             bad_row = with_field(rows[1], column, value)
             cases[f"value_{column}_{value}"] = (header + rows[0] + bad_row + rows[2],
                                                r"row 1 has an impossible value")
+    # bytes that are not UTF-8: in a header line, and in a label of the first row
+    raw = good.read_bytes()
+    cases["header_byte"] = (raw.replace(b"# tau=1.0\n", b"# tau=1.0\xff\n"), "UTF-8")
+    first_label = raw.index(b",B0", raw.index(b"\n0,")) + 3
+    cases["row_byte"] = (raw[:first_label] + b"\xff" + raw[first_label:], "label")
     for name, (content, problem) in cases.items():
         path = tmp_path / f"{name}.csv"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         with pytest.raises(EventFileError, match=problem):
             read_events(path)
 
