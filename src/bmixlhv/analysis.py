@@ -64,6 +64,8 @@ class BinnedRates:
         opp = np.asarray(self.counts_opposite, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("edges must contain at least two values")
+        if not np.isfinite(edges).all():
+            raise ValueError("edges must be finite")
         if np.any(np.diff(edges) <= 0.0):
             raise ValueError("edges must be strictly ascending")
         if edges[0] < 0.0:
@@ -102,16 +104,13 @@ class FitResult:
 
 
 def bin_events(batch: EventBatch, edges) -> BinnedRates:
-    """Histogram |t1 - t2| with half-open bins [lo, hi), split by class."""
+    """Histogram |t1 - t2| with half-open bins [lo, hi), split by class.
+    Raises ValueError unless :class:`BinnedRates` accepts the edges."""
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-        raise ValueError("edges must be strictly ascending with at least two values")
-    if edges[0] < 0.0:
-        raise ValueError("edges must be nonnegative")
     nbins = edges.size - 1
     dt = np.abs(batch.t1 - batch.t2)
     pos = np.searchsorted(edges, dt, side="right") - 1
-    in_range = (pos >= 0) & (pos < nbins) & (dt < edges[-1])
+    in_range = (pos >= 0) & (pos < nbins)
     same = batch.flavour1 == batch.flavour2
     counts_same = np.bincount(pos[in_range & same], minlength=nbins).astype(float)
     counts_opp = np.bincount(pos[in_range & ~same], minlength=nbins).astype(float)

@@ -19,7 +19,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,11 @@ class RunConfig:
     @property
     def physical_params(self) -> ModelParams:
         return ModelParams(self.tau, self.delta_m)
+
+    def sim_config(self, params: ModelParams) -> SimConfig:
+        """The generator configuration of this run for ``params``."""
+        return SimConfig(params=params, n_events=self.n_events, seed=self.seed,
+                         symmetrized=self.symmetrized)
 
     def dt_max_for(self, tau: float) -> float:
         """Histogram upper edge in the units of ``tau``."""
@@ -339,19 +344,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _simulate_batch(cfg: RunConfig) -> tuple[EventBatch, SimConfig]:
     """Generate in internal units and rescale to the physical configuration."""
-    internal = SimConfig(
-        params=cfg.internal_params,
-        n_events=cfg.n_events,
-        seed=cfg.seed,
-        symmetrized=cfg.symmetrized,
-    )
+    internal = cfg.sim_config(cfg.internal_params)
     batch = montecarlo.generate(internal, workers=cfg.threads)
-    physical = SimConfig(
-        params=cfg.physical_params,
-        n_events=cfg.n_events,
-        seed=cfg.seed,
-        symmetrized=cfg.symmetrized,
-    )
+    physical = cfg.sim_config(cfg.physical_params)
     if physical != internal:
         batch = _rescale_batch(batch, cfg.tau, montecarlo.config_fingerprint(physical))
     return batch, physical
@@ -363,7 +358,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     event_path = out / "events.csv"
     montecarlo.write_events(batch, physical, event_path, workers=cfg.threads)
 
-    stats = batch.rng_stats
     manifest = {
         "tau": cfg.tau,
         "delta_m": cfg.delta_m,
@@ -372,10 +366,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "symmetrized": cfg.symmetrized,
         "event_file": event_path.name,
-        "lambda_acceptance_rate": stats.lambda_acceptance_rate,
-        "t2_acceptance_rate": stats.t2_acceptance_rate,
-        "lambda_proposals": stats.lambda_proposals,
-        "t2_proposals": stats.t2_proposals,
+        **asdict(batch.rng_stats),
     }
     fingerprint = batch.config_fingerprint
     headers = ("key", "value")
@@ -522,9 +513,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
         params = ModelParams(1.0, x)
         try:
             report = verification.full_verification(params)
-            sim = SimConfig(params=params, n_events=cfg.n_events, seed=cfg.seed,
-                            symmetrized=cfg.symmetrized)
-            batch = montecarlo.generate(sim, workers=cfg.threads)
+            batch = montecarlo.generate(cfg.sim_config(params), workers=cfg.threads)
             _, fit = _bin_and_fit(batch, params, cfg.bins, dt_max)
         except (verification.QuadratureError, montecarlo.RejectionOverflowError,
                 analysis.FitRefusedError) as exc:

@@ -27,7 +27,6 @@ import contextlib
 import hashlib
 import io
 import os
-import re
 import signal
 from dataclasses import asdict, dataclass, fields
 
@@ -450,18 +449,17 @@ def _block_cuts(fh, start: int, end: int) -> list[int]:
     return cuts
 
 
-def _parse_block(path, start: int, stop: int, max_rows: int | None = None) -> list:
-    """The rows in bytes [start, stop) of the event file ``path``, at most
-    ``max_rows`` of them, as EventBatch columns with flavour codes (0 for an
-    unknown label) and swapped flags as parsed.  Raises loadtxt's
-    ValueError, which counts rows from the block's first."""
+def _parse_block(path, start: int, stop: int) -> list:
+    """The rows in bytes [start, stop) of the event file ``path`` as
+    EventBatch columns, with flavour codes (0 for an unknown label) and
+    swapped flags as parsed.  Raises loadtxt's ValueError."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
     rows = np.empty(0, dtype=_ROW_DTYPE)
     if data.strip(b"\n"):  # loadtxt warns of a block of blank lines
         rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                          ndmin=1, max_rows=max_rows)
+                          ndmin=1)
     return [rows["index"], rows["lambda"], rows["t1"], _flavour_codes(rows["flavour1"]),
             rows["t2"], _flavour_codes(rows["flavour2"]), rows["swapped"]]
 
@@ -480,8 +478,10 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     Raises :class:`EventFileError` unless the file holds exactly
     ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
     ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
-    nonnegative decay times, under a UTF-8 header; the message names the
-    first bad row, counted from the first row of the file.
+    nonnegative decay times, under a UTF-8 header.  Rows are counted from
+    the first row of the file, blank lines not included.  A row that does
+    not parse is named in ``numpy.loadtxt``'s words, which count a bad value
+    from 0 and a wrong column count from 1; the checks here count from 0.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -499,15 +499,8 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
                 break
         cuts = _block_cuts(fh, fh.tell(), os.fstat(fh.fileno()).st_size)
 
-    # the acceptance stats are optional, but all or none
-    stats_keys = [field.name for field in fields(RngStats)]
-    has_stats = any(key in header for key in stats_keys)
-    required = ["fingerprint", "tau", "delta_m", "n_events", "seed", "symmetrized",
-                "max_rejection_iters", *(stats_keys if has_stats else ())]
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise EventFileError(f"event file header is missing {missing}")
     try:
+        fingerprint = header["fingerprint"]
         config = SimConfig(
             params=ModelParams(float(header["tau"]), float(header["delta_m"])),
             n_events=int(header["n_events"]),
@@ -515,15 +508,18 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
             symmetrized=bool(int(header["symmetrized"])),
             max_rejection_iters=int(header["max_rejection_iters"]),
         )
+        # the acceptance stats are optional, but all or none
         stats = RngStats(
             lambda_acceptance_rate=float(header["lambda_acceptance_rate"]),
             t2_acceptance_rate=float(header["t2_acceptance_rate"]),
             lambda_proposals=int(header["lambda_proposals"]),
             t2_proposals=int(header["t2_proposals"]),
-        ) if has_stats else None
+        ) if any(field.name in header for field in fields(RngStats)) else None
+    except KeyError as exc:
+        raise EventFileError(f"event file header is missing {exc}") from None
     except ValueError as exc:
         raise EventFileError(f"invalid event file header: {exc}") from None
-    if config_fingerprint(config) != header["fingerprint"]:
+    if config_fingerprint(config) != fingerprint:
         raise EventFileError("event file fingerprint does not match its header fields")
 
     n = config.n_events
@@ -534,29 +530,31 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     columns = {name: np.empty(size, dtype=dtype)
                for name, dtype in {**_COLUMN_DTYPES, "swapped": np.uint8}.items()}
     filled = 0  # rows parsed so far
-    blocks = list(zip(cuts, cuts[1:]))
-    with _fork_map(_parse_block, workers, [path] * len(blocks), cuts[:-1], cuts[1:]) as parts:
-        for start, stop in blocks:
+    try:
+        with _fork_map(_parse_block, workers, [path] * (len(cuts) - 1),
+                       cuts[:-1], cuts[1:]) as parts:
+            for part in parts:
+                count = part[0].size
+                filled += count
+                if filled > size:  # then size is n: the file is overlong
+                    break
+                for column, values in zip(columns.values(), part):
+                    column[filled - count:filled] = values
+    except ValueError:
+        # a row does not parse, and leaving the pool cancelled the other
+        # blocks.  One streaming parse of the body names the row in
+        # loadtxt's words, counted from the file's first row.  loadtxt
+        # allocates max_rows rows up front; if size + 1 rows parse (so size
+        # is n), the file is overlong, whatever follows
+        del columns
+        with open(path, "rb") as fh:
+            fh.seek(cuts[0])
             try:
-                part = next(parts)
-            except ValueError:
-                # past its (n+1)-th row a file is overlong, whatever follows
-                try:
-                    _parse_block(path, start, stop, max_rows=n + 1 - filled)
-                except ValueError as exc:
-                    # loadtxt's row number, counted from the file's first row
-                    message = re.sub(r"^(.*at row )(\d+)",
-                                     lambda m: f"{m[1]}{int(m[2]) + filled}", str(exc),
-                                     count=1, flags=re.S)
-                    raise EventFileError(f"malformed event row: {message}") from None
-                filled = n + 1
-                break
-            count = part[0].size
-            filled += count
-            if filled > size:  # then size is n: the file is overlong
-                break
-            for column, values in zip(columns.values(), part):
-                column[filled - count:filled] = values
+                np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                           max_rows=size + 1)
+            except ValueError as exc:
+                raise EventFileError(f"malformed event row: {exc}") from None
+        filled = n + 1
 
     if filled != n:
         found = f"more than {n}" if filled > n else filled
@@ -573,5 +571,4 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     for name in ("flavour1", "flavour2"):
         _reject_rows(columns[name] == 0, f"has an unknown {name} label")
     columns["swapped"] = columns["swapped"].view(np.bool_)
-    return EventBatch(**columns, config_fingerprint=header["fingerprint"],
-                      rng_stats=stats), config
+    return EventBatch(**columns, config_fingerprint=fingerprint, rng_stats=stats), config

@@ -101,6 +101,15 @@ def test_binned_rates_validation():
         BinnedRates(edges=edges, counts_same=-np.ones(2), counts_opposite=ok, n_total=5)
     with pytest.raises(ValueError):
         BinnedRates(edges=edges, counts_same=np.array([3.0, 3.0]), counts_opposite=ok, n_total=5)
+    with pytest.raises(ValueError, match="finite"):
+        BinnedRates(edges=np.array([0.0, np.nan, 2.0]), counts_same=ok, counts_opposite=ok,
+                    n_total=0)
+    # bin_events leaves its edges to the constructor
+    batch = _mk_batch([0.5, 1.5, 3.0], [0.0, 0.0, 0.0], [1, 2, 1], [1, 1, 1])
+    for bad in ([2.0, 1.0, 0.0], [1.0], [], [-1.0, 1.0, 2.0], [[0.0, 1.0], [2.0, 3.0]],
+                [0.0, np.nan, 5.0], [np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ValueError):
+            bin_events(batch, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,8 @@ def test_worker_count_changes_no_parsed_row(tmp_path, monkeypatch):
         read_events(path, workers=0)
 
 
+# loadtxt warns that a blank line does not count towards max_rows
+@pytest.mark.filterwarnings("ignore:Input line")
 def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
     import multiprocessing
 
@@ -523,6 +525,9 @@ def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
         "value": (edited(1, "99.0"), f"row {row} has an impossible value"),
         "number": (edited(2, "1.2.3"), f"'1.2.3' to float64 at row {row}, column 3"),
         "columns": (edited(6, "0,1\n"), f"8 were found at row {row + 1};"),
+        # loadtxt, like the checks, counts rows, not lines
+        "blank": (lines[:rows[5]] + ["\n"] + edited(2, "1.2.3")[rows[5]:],
+                  f"'1.2.3' to float64 at row {row}, column 3"),
         # loadtxt reads no row past the (n+1)-th of an overlong file
         "overlong": (lines + lines[-3:-2] + ["x\n"], "has more than 2007 rows"),
     }
@@ -549,15 +554,49 @@ def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
             if line.startswith(prefix):
                 line = f"{prefix}{value}\n"
         lines.append(line)
-    path.write_text("".join(lines))
-    tracemalloc.start()
-    try:
-        with pytest.raises(EventFileError, match=r"has 3 rows, its header says n_events=10{12}"):
-            read_events(path, workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
+    cases = {
+        "short": (lines, r"has 3 rows, its header says n_events=10{12}"),
+        # the bad row is parsed again, without allocating by n_events
+        "bad_row": (lines[:-2] + ["x" + lines[-2], lines[-1]],
+                    r"malformed event row: could not convert string 'x1' .* at row 1,"),
+    }
+    for content, problem in cases.values():
+        path.write_text("".join(content))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EventFileError, match=problem):
+                read_events(path, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def test_a_bad_late_row_costs_no_more_memory_than_a_clean_read(tmp_path):
+    cfg = _config(n=100_000, seed=3)
+    path = tmp_path / "events.csv"
+    write_events(generate(cfg), cfg, path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.csv"
+    at = raw.index(b"\n99990,") + len(b"\n99990,")
+    bad.write_bytes(raw[:at] + b"x" + raw[at:])
+
+    def traced_peak(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def read_bad():
+        with pytest.raises(EventFileError, match=r"'x.* at row 99990, column 2\."):
+            read_events(bad)
+
+    clean = traced_peak(lambda: read_events(path))
+    peak = traced_peak(read_bad)
+    # the 7.5 MB body is parsed again as a stream, not read in whole
+    assert peak < clean + 2**20, (clean, peak)
 
 
 def test_event_file_rejects_fingerprint_tampering(tmp_path):
