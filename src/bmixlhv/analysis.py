@@ -45,6 +45,21 @@ class FitRefusedError(ValueError):
     delta_m range."""
 
 
+def _checked_edges(edges) -> np.ndarray:
+    """The lag-bin edges as floats; raises ValueError unless there are two or
+    more, finite, nonnegative and strictly ascending."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("edges must contain at least two values")
+    if not np.isfinite(edges).all():
+        raise ValueError("edges must be finite")
+    if np.any(np.diff(edges) <= 0.0):
+        raise ValueError("edges must be strictly ascending")
+    if edges[0] < 0.0:
+        raise ValueError("edges must be nonnegative")
+    return edges
+
+
 @dataclass(frozen=True)
 class BinnedRates:
     """Histogram of the decay lag |t1 - t2|, split by flavour class.
@@ -59,17 +74,9 @@ class BinnedRates:
     n_total: int
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges, dtype=float)
+        edges = _checked_edges(self.edges)
         same = np.asarray(self.counts_same, dtype=float)
         opp = np.asarray(self.counts_opposite, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("edges must contain at least two values")
-        if not np.isfinite(edges).all():
-            raise ValueError("edges must be finite")
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("edges must be strictly ascending")
-        if edges[0] < 0.0:
-            raise ValueError("edges must be nonnegative")
         if same.shape != (edges.size - 1,) or opp.shape != (edges.size - 1,):
             raise ValueError("counts must have one entry per bin")
         if np.any(same < 0.0) or np.any(opp < 0.0):
@@ -105,8 +112,8 @@ class FitResult:
 
 def bin_events(batch: EventBatch, edges) -> BinnedRates:
     """Histogram |t1 - t2| with half-open bins [lo, hi), split by class.
-    Raises ValueError unless :class:`BinnedRates` accepts the edges."""
-    edges = np.asarray(edges, dtype=float)
+    Raises ValueError unless :func:`_checked_edges` accepts the edges."""
+    edges = _checked_edges(edges)
     nbins = edges.size - 1
     dt = np.abs(batch.t1 - batch.t2)
     pos = np.searchsorted(edges, dt, side="right") - 1

@@ -57,8 +57,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    tau: float
-    delta_m: float
+    params: ModelParams  # physical units
     model_specified: bool
     n_events: int
     seed: int
@@ -70,16 +69,8 @@ class RunConfig:
     threads: int
 
     @property
-    def x(self) -> float:
-        return self.tau * self.delta_m
-
-    @property
     def internal_params(self) -> ModelParams:
-        return ModelParams(1.0, self.x)
-
-    @property
-    def physical_params(self) -> ModelParams:
-        return ModelParams(self.tau, self.delta_m)
+        return ModelParams(1.0, self.params.x)
 
     def sim_config(self, params: ModelParams) -> SimConfig:
         """The generator configuration of this run for ``params``."""
@@ -258,8 +249,7 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"threads must be at least 1, got {threads}")
 
     return RunConfig(
-        tau=params.tau,
-        delta_m=params.delta_m,
+        params=params,
         model_specified=specified,
         n_events=n_events,
         seed=seed,
@@ -298,9 +288,13 @@ def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
     return written
 
 
-def _rescale_batch(batch: EventBatch, scale: float, fingerprint: str) -> EventBatch:
-    """Multiply both decay-time columns by ``scale``."""
-    return replace(batch, t1=batch.t1 * scale, t2=batch.t2 * scale, config_fingerprint=fingerprint)
+def _rescale_batch(batch: EventBatch, config: SimConfig) -> EventBatch:
+    """``batch`` relabelled ``config``, which differs from its own at most in
+    tau, so both decay-time columns are multiplied by the ratio of the taus."""
+    if config == batch.config:
+        return batch
+    scale = config.params.tau / batch.config.params.tau
+    return replace(batch, t1=batch.t1 * scale, t2=batch.t2 * scale, config=config)
 
 
 def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: float):
@@ -319,8 +313,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     headers = ("name", "target", "computed", "residual", "tolerance", "passed")
     rows = [(c.name, c.target, c.computed, c.residual, c.tolerance, c.passed)
             for c in checks]
+    model = {"tau": cfg.params.tau, "delta_m": cfg.params.delta_m, "x": cfg.params.x}
     tree = {
-        "params": {"tau": cfg.tau, "delta_m": cfg.delta_m, "x": cfg.x},
+        "params": model,
         "checks": [dict(zip(headers, row)) for row in rows],
         "summary": {
             "n_checks": len(checks),
@@ -329,11 +324,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             "all_passed": report.all_passed,
         },
     }
-    fingerprint = reporting.fingerprint_of_mapping(
-        {"command": "verify", "tau": cfg.tau, "delta_m": cfg.delta_m, "x": cfg.x}
-    )
-    header_fields = {"tau": cfg.tau, "delta_m": cfg.delta_m, "x": cfg.x,
-                     "note": "checks evaluated in lifetime units (tau=1)"}
+    fingerprint = reporting.fingerprint_of_mapping({"command": "verify", **model})
+    header_fields = {**model, "note": "checks evaluated in lifetime units (tau=1)"}
     _emit(cfg, "verify_report", fingerprint, headers, rows, tree, header_fields)
     print(
         f"verification: {len(checks)} checks, {len(report.failures)} failures, "
@@ -342,26 +334,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
 
-def _simulate_batch(cfg: RunConfig) -> tuple[EventBatch, SimConfig]:
+def _simulate_batch(cfg: RunConfig) -> EventBatch:
     """Generate in internal units and rescale to the physical configuration."""
-    internal = cfg.sim_config(cfg.internal_params)
-    batch = montecarlo.generate(internal, workers=cfg.threads)
-    physical = cfg.sim_config(cfg.physical_params)
-    if physical != internal:
-        batch = _rescale_batch(batch, cfg.tau, montecarlo.config_fingerprint(physical))
-    return batch, physical
+    batch = montecarlo.generate(cfg.sim_config(cfg.internal_params), workers=cfg.threads)
+    return _rescale_batch(batch, cfg.sim_config(cfg.params))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    batch, physical = _simulate_batch(cfg)
+    batch = _simulate_batch(cfg)
     out = _ensure_out(cfg)
     event_path = out / "events.csv"
-    montecarlo.write_events(batch, physical, event_path, workers=cfg.threads)
+    # path by keyword: perfbench's tracer reads it from there or the third argument
+    montecarlo.write_events(batch, path=event_path, workers=cfg.threads)
 
     manifest = {
-        "tau": cfg.tau,
-        "delta_m": cfg.delta_m,
-        "x": cfg.x,
+        "tau": cfg.params.tau,
+        "delta_m": cfg.params.delta_m,
+        "x": cfg.params.x,
         "n_events": cfg.n_events,
         "seed": cfg.seed,
         "symmetrized": cfg.symmetrized,
@@ -381,7 +370,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     try:
-        batch, file_config = montecarlo.read_events(event_file, workers=cfg.threads)
+        batch = montecarlo.read_events(event_file, workers=cfg.threads)
     except OSError as exc:
         print(f"error: cannot read event file {event_file}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -389,23 +378,19 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     except montecarlo.EventFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.model_specified and (
-        cfg.tau != file_config.params.tau or cfg.delta_m != file_config.params.delta_m
-    ):
+    physical = batch.config.params
+    if cfg.model_specified and cfg.params != physical:
         print(
             "error: event file parameters "
-            f"(tau={file_config.params.tau!r}, delta_m={file_config.params.delta_m!r}) "
-            f"do not match the requested (tau={cfg.tau!r}, delta_m={cfg.delta_m!r})",
+            f"(tau={physical.tau!r}, delta_m={physical.delta_m!r}) do not match the "
+            f"requested (tau={cfg.params.tau!r}, delta_m={cfg.params.delta_m!r})",
             file=sys.stderr,
         )
         return EXIT_CONFIG
 
-    physical = file_config.params
     scale = physical.tau
     internal = ModelParams(1.0, physical.x)
-    internal_batch = (
-        batch if scale == 1.0 else _rescale_batch(batch, 1.0 / scale, batch.config_fingerprint)
-    )
+    internal_batch = _rescale_batch(batch, replace(batch.config, params=internal))
     dt_max = cfg.dt_max_for(scale)
     try:
         binned, fit = _bin_and_fit(internal_batch, internal, cfg.bins, dt_max / scale)

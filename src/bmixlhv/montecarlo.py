@@ -28,7 +28,8 @@ import hashlib
 import io
 import os
 import signal
-from dataclasses import asdict, dataclass, fields
+import warnings
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,13 +157,16 @@ class RngStats:
 
     @classmethod
     def from_proposals(cls, n: int, lambda_proposals: int, t2_proposals: int) -> "RngStats":
-        """Stats of ``n`` accepted events drawn from the given proposal counts."""
+        """Stats of ``n`` accepted events drawn from the given proposal counts;
+        each event takes at least one proposal per stage."""
+        if min(lambda_proposals, t2_proposals) < n:
+            raise ValueError(f"proposal counts must be at least the {n} events")
         return cls(n / lambda_proposals, n / t2_proposals, lambda_proposals, t2_proposals)
 
 
 @dataclass(frozen=True, eq=False)
 class EventBatch:
-    """Columnar storage of generated events, one array per field."""
+    """Columnar storage of generated events, one array per field, and their config."""
 
     index: np.ndarray
     lam: np.ndarray
@@ -171,17 +175,21 @@ class EventBatch:
     t2: np.ndarray
     flavour2: np.ndarray
     swapped: np.ndarray
-    config_fingerprint: str
-    rng_stats: RngStats | None = None
+    config: SimConfig
+    rng_stats: RngStats
 
     def __len__(self) -> int:
         return self.index.size
+
+    @property
+    def config_fingerprint(self) -> str:
+        return config_fingerprint(self.config)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventBatch):
             return NotImplemented
         return (
-            self.config_fingerprint == other.config_fingerprint
+            self.config == other.config
             and self.rng_stats == other.rng_stats
             and all(
                 np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMN_DTYPES
@@ -292,7 +300,7 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
         t2=t2,
         flavour2=flavour2,
         swapped=swapped,
-        config_fingerprint=config_fingerprint(config),
+        config=config,
         rng_stats=RngStats.from_proposals(n, lambda_proposals, t2_proposals),
     )
 
@@ -324,7 +332,7 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
         stats = list(pool.map(fill, blocks))
     return EventBatch(
         **columns,
-        config_fingerprint=config_fingerprint(config),
+        config=config,
         rng_stats=RngStats.from_proposals(n, sum(s.lambda_proposals for s in stats),
                                           sum(s.t2_proposals for s in stats)),
     )
@@ -369,12 +377,6 @@ def _fork_map(fn, workers: int, *sequences):
         pool.shutdown(cancel_futures=True)
 
 
-def _header_lines(config: SimConfig, batch: EventBatch) -> list[str]:
-    stats = asdict(batch.rng_stats) if batch.rng_stats is not None else {}
-    return comment_header(batch.config_fingerprint, **_config_fields(config), **stats,
-                          columns=",".join(EVENT_COLUMNS))
-
-
 def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> str:
     """The event-file rows of one block of columns, one line per event."""
     rows = zip(
@@ -392,8 +394,10 @@ def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> str:
     ])
 
 
-def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -> None:
-    """Write the delimited event file (header comments + one row per event).
+def write_events(batch: EventBatch, path, workers: int = 1) -> None:
+    """Write the delimited event file: a comment header of the batch's
+    configuration, its fingerprint and acceptance stats, then one row per
+    event.
 
     Rows are formatted column-wise by :func:`_format_rows` in blocks of
     :data:`WRITE_CHUNK_ROWS`, by :func:`_fork_map`: with ``workers`` above 1
@@ -404,8 +408,6 @@ def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if config_fingerprint(config) != batch.config_fingerprint:
-        raise ValueError("batch fingerprint does not match the supplied configuration")
     for codes in (batch.flavour1, batch.flavour2):
         if not np.isin(codes, (Flavour.B0, Flavour.B0BAR)).all():
             raise ValueError("flavour codes must be those of B0 and B0bar")
@@ -413,10 +415,12 @@ def write_events(batch: EventBatch, config: SimConfig, path, workers: int = 1) -
     # one list of block slices per column, in _format_rows' argument order
     columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for name in _COLUMN_DTYPES]
+    header = comment_header(batch.config_fingerprint, **_config_fields(batch.config),
+                            **asdict(batch.rng_stats), columns=",".join(EVENT_COLUMNS))
     # _fork_map submits every block, forking the workers, before the file is
     # opened, so no worker inherits an unflushed buffer of it
     with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
-        fh.write("".join(line + "\n" for line in _header_lines(config, batch)))
+        fh.write("".join(line + "\n" for line in header))
         for text in texts:
             fh.write(text)
 
@@ -464,9 +468,10 @@ def _parse_block(path, start: int, stop: int) -> list:
             rows["t2"], _flavour_codes(rows["flavour2"]), rows["swapped"]]
 
 
-def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
-    """Parse an event file; validates the header against its own fingerprint
-    and the rows against the header.
+def read_events(path, workers: int = 1) -> EventBatch:
+    """Parse an event file into the batch it was written from; validates the
+    header against its own fingerprint and proposal counts, and the rows
+    against the header.
 
     The body is parsed by :func:`_parse_block` in blocks of about
     :data:`READ_BLOCK_BYTES`, each ending at a newline, by
@@ -478,7 +483,10 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     Raises :class:`EventFileError` unless the file holds exactly
     ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
     ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
-    nonnegative decay times, under a UTF-8 header.  Rows are counted from
+    nonnegative decay times, under a UTF-8 header that holds every
+    configuration field and acceptance statistic, with acceptance rates
+    equal to those :meth:`RngStats.from_proposals` gives for its proposal
+    counts.  Rows are counted from
     the first row of the file, blank lines not included.  A row that does
     not parse is named in ``numpy.loadtxt``'s words, which count a bad value
     from 0 and a wrong column count from 1; the checks here count from 0.
@@ -508,19 +516,17 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
             symmetrized=bool(int(header["symmetrized"])),
             max_rejection_iters=int(header["max_rejection_iters"]),
         )
-        # the acceptance stats are optional, but all or none
-        stats = RngStats(
-            lambda_acceptance_rate=float(header["lambda_acceptance_rate"]),
-            t2_acceptance_rate=float(header["t2_acceptance_rate"]),
-            lambda_proposals=int(header["lambda_proposals"]),
-            t2_proposals=int(header["t2_proposals"]),
-        ) if any(field.name in header for field in fields(RngStats)) else None
+        stats = RngStats.from_proposals(config.n_events, int(header["lambda_proposals"]),
+                                        int(header["t2_proposals"]))
+        rates = (float(header["lambda_acceptance_rate"]), float(header["t2_acceptance_rate"]))
     except KeyError as exc:
         raise EventFileError(f"event file header is missing {exc}") from None
     except ValueError as exc:
         raise EventFileError(f"invalid event file header: {exc}") from None
     if config_fingerprint(config) != fingerprint:
         raise EventFileError("event file fingerprint does not match its header fields")
+    if rates != (stats.lambda_acceptance_rate, stats.t2_acceptance_rate):
+        raise EventFileError("event file acceptance rates do not match its proposal counts")
 
     n = config.n_events
     # a row that parses holds 11 bytes at least ("0,0,0,,0,,0") and all but
@@ -547,7 +553,9 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
         # allocates max_rows rows up front; if size + 1 rows parse (so size
         # is n), the file is overlong, whatever follows
         del columns
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            # a blank line does not count towards max_rows, nor is it a row
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
             fh.seek(cuts[0])
             try:
                 np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
@@ -571,4 +579,4 @@ def read_events(path, workers: int = 1) -> tuple[EventBatch, SimConfig]:
     for name in ("flavour1", "flavour2"):
         _reject_rows(columns[name] == 0, f"has an unknown {name} label")
     columns["swapped"] = columns["swapped"].view(np.bool_)
-    return EventBatch(**columns, config_fingerprint=fingerprint, rng_stats=stats), config
+    return EventBatch(**columns, config=config, rng_stats=stats)

@@ -18,7 +18,7 @@ from bmixlhv.analysis import (
     goodness_of_fit,
 )
 from bmixlhv.model import ModelParams
-from bmixlhv.montecarlo import EventBatch, SimConfig, generate
+from bmixlhv.montecarlo import EventBatch, RngStats, SimConfig, generate
 from oracles import delta_t_bin_probability, two_sample_chi2
 
 DEFAULT = ModelParams(tau=1.0, delta_m=0.776)
@@ -34,7 +34,8 @@ def _mk_batch(t1, t2, f1, f2):
         t2=np.asarray(t2, dtype=float),
         flavour2=np.asarray(f2, dtype=np.int8),
         swapped=np.zeros(n, dtype=bool),
-        config_fingerprint="manual",
+        config=SimConfig(params=DEFAULT, n_events=n, seed=0),
+        rng_stats=RngStats.from_proposals(n, n, n),
     )
 
 
@@ -69,7 +70,8 @@ def test_bin_events_is_permutation_invariant():
         t2=batch.t2[order],
         flavour2=batch.flavour2[order],
         swapped=batch.swapped[order],
-        config_fingerprint=batch.config_fingerprint,
+        config=batch.config,
+        rng_stats=batch.rng_stats,
     )
     b = bin_events(shuffled, edges)
     assert np.array_equal(a.counts_same, b.counts_same)
@@ -104,11 +106,14 @@ def test_binned_rates_validation():
     with pytest.raises(ValueError, match="finite"):
         BinnedRates(edges=np.array([0.0, np.nan, 2.0]), counts_same=ok, counts_opposite=ok,
                     n_total=0)
-    # bin_events leaves its edges to the constructor
+    # bin_events checks its edges, by the constructor's rule, before it bins
     batch = _mk_batch([0.5, 1.5, 3.0], [0.0, 0.0, 0.0], [1, 2, 1], [1, 1, 1])
-    for bad in ([2.0, 1.0, 0.0], [1.0], [], [-1.0, 1.0, 2.0], [[0.0, 1.0], [2.0, 3.0]],
-                [0.0, np.nan, 5.0], [np.nan, 1.0], [0.0, np.inf]):
-        with pytest.raises(ValueError):
+    for bad, problem in (([2.0, 1.0, 0.0], "ascending"), ([1.0], "two values"),
+                         ([], "two values"), ([-1.0, 1.0, 2.0], "nonnegative"),
+                         ([[0.0, 1.0], [2.0, 3.0]], "two values"),
+                         ([0.0, np.nan, 5.0], "finite"), ([np.nan, 1.0], "finite"),
+                         ([0.0, np.inf], "finite")):
+        with pytest.raises(ValueError, match=f"^edges must .*{problem}"):
             bin_events(batch, bad)
 
 

@@ -38,7 +38,8 @@ def test_simulate_writes_events_and_manifest(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "events.csv", "manifest.txt", "manifest.yaml"]
     assert "simulated 400 events" in capsys.readouterr().out
-    batch, config = read_events(out / "events.csv")
+    batch = read_events(out / "events.csv")
+    config = batch.config
     assert len(batch) == 400
     assert config.seed == 9
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
@@ -225,7 +226,8 @@ def test_config_file_supplies_defaults(tmp_path):
         f"[output]\nout = {tmp_path / 'fromfile'}\n"
     )
     assert run("simulate", "--config", cfg) == 0
-    batch, config = read_events(tmp_path / "fromfile" / "events.csv")
+    batch = read_events(tmp_path / "fromfile" / "events.csv")
+    config = batch.config
     assert len(batch) == 500
     assert config.seed == 7
     assert config.params.delta_m == 0.9
@@ -236,7 +238,7 @@ def test_cli_flags_override_config_file(tmp_path):
     cfg.write_text("[simulate]\nevents = 500\nseed = 7\n")
     out = tmp_path / "o"
     assert run("simulate", "--config", cfg, "--events", 123, "--out", out) == 0
-    _, config = read_events(out / "events.csv")
+    config = read_events(out / "events.csv").config
     assert config.n_events == 123
     assert config.seed == 7  # untouched keys still come from the file
 
@@ -247,7 +249,7 @@ def test_cli_model_flags_replace_file_model_wholesale(tmp_path):
     out = tmp_path / "o"
     assert run("simulate", "--config", cfg, "--x", 0.776, "--events", 50,
                "--out", out) == 0
-    _, config = read_events(out / "events.csv")
+    config = read_events(out / "events.csv").config
     assert config.params.tau == 1.0  # file tau does not leak under --x
     assert config.params.delta_m == 0.776
 
@@ -353,7 +355,7 @@ def test_analyze_refuses_a_one_class_event_file(tmp_path, capsys):
         edited.append(line)
     one_class = tmp_path / "one_class.csv"
     one_class.write_text("".join(edited))
-    batch, _ = read_events(one_class)
+    batch = read_events(one_class)
     assert (batch.flavour1 == batch.flavour2).all()
     capsys.readouterr()
     assert run("analyze", one_class, "--out", tmp_path / "fit") == 1
@@ -428,7 +430,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 def _with_delta_m(path, out, delta_m):
     """Copy an event file with another delta_m in its header and the
     fingerprint recomputed, so that only the rows disagree with it."""
-    _, config = read_events(path)
+    config = read_events(path).config
     edited = dataclasses.replace(config, params=ModelParams(config.params.tau, delta_m))
     replaced = {"# fingerprint=": config_fingerprint(edited), "# delta_m=": repr(delta_m)}
     lines = []
@@ -447,7 +449,7 @@ def test_analyze_refuses_a_delta_m_outside_the_scan(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "--x", 1.8, "--events", 20000, "--seed", 3, "--out", sim) == 0
     edited = _with_delta_m(sim / "events.csv", tmp_path / "edited.csv", 0.776)
-    _, config = read_events(edited)
+    config = read_events(edited).config
     assert config.params.delta_m == 0.776
     capsys.readouterr()
     assert run("analyze", edited, "--out", tmp_path / "fit") == 1

@@ -318,7 +318,7 @@ GOLDEN_EVENT_FILE_SHA256 = {
 def test_event_file_golden_digest(tmp_path, x, symmetrized):
     cfg = _config(n=2000, seed=20260814, symmetrized=symmetrized, dm=x)
     path = tmp_path / "events.csv"
-    write_events(generate(cfg), cfg, path)
+    write_events(generate(cfg), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_EVENT_FILE_SHA256[(x, symmetrized)]
 
@@ -328,18 +328,18 @@ def test_event_file_round_trip(tmp_path):
     cfg = _config(n=2 * WRITE_CHUNK_ROWS + 7, seed=5, symmetrized=True)
     batch = generate(cfg, workers=2)
     path = tmp_path / "events.csv"
-    write_events(batch, cfg, path)
+    write_events(batch, path)
     body = "".join(
         line for line in path.read_text().splitlines(keepends=True)
         if not line.startswith("#")
     )
     assert body == event_file_rows(batch)
-    loaded, loaded_cfg = read_events(path)
+    loaded = read_events(path)
     assert loaded == batch
-    assert loaded_cfg == cfg
+    assert loaded.config == cfg
     # a rewrite of what was read is byte-identical
     path2 = tmp_path / "again.csv"
-    write_events(loaded, loaded_cfg, path2)
+    write_events(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -347,7 +347,7 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
     cfg = _config(n=5)
     batch = generate(cfg)
     path = tmp_path / "events.csv"
-    write_events(batch, cfg, path)
+    write_events(batch, path)
     before = path.read_bytes()
 
     labels = montecarlo._LABEL_BY_CODE
@@ -364,7 +364,7 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 2)
     monkeypatch.setattr(montecarlo, "_LABEL_BY_CODE", KilledAfterFirstBlock())
     with pytest.raises(KeyboardInterrupt):
-        write_events(batch, cfg, path)
+        write_events(batch, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
@@ -394,20 +394,20 @@ def test_worker_count_changes_no_event_file_byte(tmp_path, monkeypatch):
     written = {}
     for workers in (1, 2, 4):
         path = tmp_path / f"events{workers}.csv"
-        write_events(batch, cfg, path, workers=workers)
+        write_events(batch, path, workers=workers)
         written[workers] = path.read_bytes()
     assert pool_sizes == [2, 3]
     assert written[2] == written[1] and written[4] == written[1]
-    loaded, loaded_cfg = read_events(tmp_path / "events4.csv")
+    loaded = read_events(tmp_path / "events4.csv")
     assert loaded == batch
-    assert loaded_cfg == cfg
+    assert loaded.config == cfg
     # a single block is formatted inline, whatever the worker count
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1 << 20)
-    write_events(batch, cfg, tmp_path / "one_block.csv", workers=4)
+    write_events(batch, tmp_path / "one_block.csv", workers=4)
     assert pool_sizes == [2, 3]
     assert (tmp_path / "one_block.csv").read_bytes() == written[1]
     with pytest.raises(ValueError, match="workers"):
-        write_events(batch, cfg, tmp_path / "none.csv", workers=0)
+        write_events(batch, tmp_path / "none.csv", workers=0)
 
 
 def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
@@ -425,10 +425,10 @@ def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
     cfg = _config(n=4 * 1000)
     batch = generate(cfg)
     before = threading.active_count()
-    write_events(batch, cfg, tmp_path / "events.csv", workers=3)
+    write_events(batch, tmp_path / "events.csv", workers=3)
     assert threads_at_fork == [before] * 3
     monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", 50_000)
-    assert read_events(tmp_path / "events.csv", workers=3)[0] == batch
+    assert read_events(tmp_path / "events.csv", workers=3) == batch
     assert threads_at_fork == [before] * 6
 
 
@@ -449,13 +449,13 @@ def test_failing_worker_block_reaches_the_caller(tmp_path, monkeypatch):
     cfg = _config(n=5 * _FAILING_BLOCK_START)
     batch = generate(cfg)
     path = tmp_path / "events.csv"
-    write_events(batch, cfg, path)
+    write_events(batch, path)
     before = path.read_bytes()
 
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", _FAILING_BLOCK_START)
     monkeypatch.setattr(montecarlo, "_format_rows", _format_rows_failing_on_one_block)
     with pytest.raises(ArithmeticError, match="block at row 1000"):
-        write_events(batch, cfg, path, workers=2)
+        write_events(batch, path, workers=2)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
     assert multiprocessing.active_children() == []
@@ -472,7 +472,7 @@ def _event_file_in_read_blocks(tmp_path, monkeypatch):
     cfg = _config(n=2007, seed=5, symmetrized=True)
     batch = generate(cfg)
     path = tmp_path / "events.csv"
-    write_events(batch, cfg, path)
+    write_events(batch, path)
     with open(path, "rb") as fh:
         for line in fh:
             if not line.startswith(b"#"):
@@ -489,21 +489,22 @@ def test_worker_count_changes_no_parsed_row(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
     pool_sizes = _spy_on_pool_sizes(monkeypatch)
     for workers in (1, 2, 4):
-        loaded, loaded_cfg = read_events(path, workers=workers)
+        loaded = read_events(path, workers=workers)
         assert loaded == batch
-        assert loaded_cfg == cfg
+        assert loaded.config == cfg
         assert loaded.swapped.dtype == np.bool_ and loaded.flavour1.dtype == np.int8
     assert pool_sizes == [2, 3]
     # a single block is parsed inline, whatever the worker count
     monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", READ_BLOCK_BYTES)
-    assert read_events(path, workers=4)[0] == batch
+    assert read_events(path, workers=4) == batch
     assert pool_sizes == [2, 3]
     with pytest.raises(ValueError, match="workers"):
         read_events(path, workers=0)
 
 
-# loadtxt warns that a blank line does not count towards max_rows
-@pytest.mark.filterwarnings("ignore:Input line")
+# loadtxt's warning that a blank line does not count towards max_rows
+# must not escape read_events
+@pytest.mark.filterwarnings("error")
 def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
     import multiprocessing
 
@@ -545,9 +546,12 @@ def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
 def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
     cfg = _config(n=3)
     path = tmp_path / "events.csv"
-    write_events(generate(cfg), cfg, path)
+    write_events(generate(cfg), path)
     huge = dataclasses.replace(cfg, n_events=10**12)
     replaced = {"# fingerprint=": config_fingerprint(huge), "# n_events=": str(10**12)}
+    # one proposal per stage and event, so that only the rows disagree
+    for stage in ("lambda", "t2"):
+        replaced |= {f"# {stage}_proposals=": str(10**12), f"# {stage}_acceptance_rate=": "1.0"}
     lines = []
     for line in path.read_text().splitlines(keepends=True):
         for prefix, value in replaced.items():
@@ -575,7 +579,7 @@ def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
 def test_a_bad_late_row_costs_no_more_memory_than_a_clean_read(tmp_path):
     cfg = _config(n=100_000, seed=3)
     path = tmp_path / "events.csv"
-    write_events(generate(cfg), cfg, path)
+    write_events(generate(cfg), path)
     raw = path.read_bytes()
     bad = tmp_path / "bad.csv"
     at = raw.index(b"\n99990,") + len(b"\n99990,")
@@ -603,7 +607,7 @@ def test_event_file_rejects_fingerprint_tampering(tmp_path):
     cfg = _config(n=5)
     batch = generate(cfg)
     path = tmp_path / "events.csv"
-    write_events(batch, cfg, path)
+    write_events(batch, path)
     lines = path.read_text().splitlines()
     lines[3] = "# seed=12345"  # change a header field out from under the digest
     (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
@@ -615,7 +619,7 @@ def test_event_file_rejects_malformed_rows(tmp_path):
     cfg = _config(n=3)
     batch = generate(cfg)
     good = tmp_path / "events.csv"
-    write_events(batch, cfg, good)
+    write_events(batch, good)
     text = good.read_text()
     lines = text.splitlines(keepends=True)
     header = "".join(line for line in lines if line.startswith("#"))
@@ -641,6 +645,16 @@ def test_event_file_rejects_malformed_rows(tmp_path):
         "stats": (text.replace("# t2_acceptance_rate=", "# t2_acceptance_rate=x"), "invalid"),
         "part_stats": ("".join(line for line in lines
                                if not line.startswith("# lambda_acceptance_rate=")), "missing"),
+        "no_stats": ("".join(line for line in lines if not re.match(
+            r"# (lambda|t2)_(acceptance_rate|proposals)=", line)), "missing"),
+        # the rates must be those the proposal counts give
+        "rate": (re.sub(r"# lambda_acceptance_rate=.*", "# lambda_acceptance_rate=0.99", text),
+                 "acceptance rates do not match its proposal counts"),
+        # every event takes one proposal per stage at least
+        "no_proposals": (re.sub(r"# t2_proposals=.*", "# t2_proposals=0", text),
+                         "proposal counts must be at least the 3 events"),
+        "few_proposals": (re.sub(r"# lambda_proposals=.*", "# lambda_proposals=2", text),
+                          "proposal counts must be at least the 3 events"),
     }
     # impossible values, each in the second row, which the message must name
     for column, values in ((1, ("99.0", "-0.5", "6.283185307179586", "nan", "inf")),
@@ -662,13 +676,6 @@ def test_event_file_rejects_malformed_rows(tmp_path):
             read_events(path)
 
 
-def test_write_events_requires_matching_config(tmp_path):
-    cfg = _config(n=4, seed=8)
-    batch = generate(cfg)
-    with pytest.raises(ValueError):
-        write_events(batch, _config(n=4, seed=9), tmp_path / "x.csv")
-
-
 def test_write_events_rejects_unknown_flavour_codes(tmp_path):
     cfg = _config(n=4, seed=8)
     batch = generate(cfg)
@@ -677,7 +684,7 @@ def test_write_events_rejects_unknown_flavour_codes(tmp_path):
         flavour2[1] = code
         bad = dataclasses.replace(batch, flavour2=flavour2)
         with pytest.raises(ValueError, match="flavour codes"):
-            write_events(bad, cfg, tmp_path / "x.csv")
+            write_events(bad, tmp_path / "x.csv")
     assert not (tmp_path / "x.csv").exists()
 
 
