@@ -232,6 +232,39 @@ def _golden(func, xa, xb, xc):
     return x1 if f1 < f2 else x2
 
 
+def _chi2_sf(dof: int, chi2: float) -> float:
+    """P(X > chi2) for X chi-square with an integer ``dof`` >= 1: the closed
+    form of Q(dof/2, y), y = chi2/2, which is e^-y sum_{j < dof/2} y^j / j!
+    for even dof and erfc(sqrt(y)) + e^-y sum_{j < (dof-1)/2} y^(j+1/2) /
+    Gamma(j+3/2) for odd.
+
+    Each term y^k e^-y / Gamma(k+1) is the exp of its logarithm, so e^-y
+    cannot underflow ahead of a large power of y.  From k = 15 on, that
+    logarithm is Stirling's form, k log(y/k) + k - y - log(2 pi k)/2 minus
+    Stirling's series in 1/k, whose rounding grows with |y - k|, not with y.
+    Up to dof = 2000 the result is within 2e-13 relative of the exact value
+    wherever that is at least 1e-300.
+    """
+    y = 0.5 * chi2
+    if y <= 0.0:
+        return 1.0
+    if math.isinf(y):
+        return 0.0
+    half = 0.5 * (dof % 2)
+    terms = [math.erfc(math.sqrt(y))] if half else []
+    for j in range(dof // 2):
+        k = j + half
+        if k < 15.0:
+            log_term = k * math.log(y) - y - math.lgamma(k + 1.0)
+        else:
+            kk = k * k
+            log_term = (k * math.log(y / k) + (k - y) - 0.5 * math.log(2.0 * math.pi * k)
+                        - (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * kk)) / kk) / kk) / k)
+        terms.append(math.exp(log_term))
+    # rounded terms can sum to an ulp above 1; a NaN chi2 stays NaN
+    return min(math.fsum(terms), 1.0)
+
+
 def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     """Pearson chi-square per flavour class plus a one-parameter delta_m fit.
 
@@ -243,7 +276,9 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     for the fitted delta_m.  The fit minimizes the weighted squared
     difference between per-group asymmetries and their exact group-averaged
     model values, scanning delta_m on [0.5, 1.5] times the reference and
-    refining the best interior scan point by golden section.
+    refining the best interior scan point by golden section.  The two
+    p-values are the chi-square survival function at dof, summed from its
+    closed form by :func:`_chi2_sf`.
 
     Refused when a bin is wider than half an oscillation period, pi/delta_m:
     the binned asymmetry then aliases and the fit converges on a wrong
@@ -314,17 +349,14 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     curvature = (objective(fitted + h) - 2.0 * objective(fitted) + objective(fitted - h)) / h**2
     error = math.sqrt(2.0 / curvature) if curvature > 0.0 else math.inf
 
-    # scipy costs most of a command's start-up, and only the p-values need it
-    from scipy.special import chdtrc
-
     return FitResult(
         chi2_same=chi2_same,
         chi2_opposite=chi2_opp,
         dof=dof,
         fitted_delta_m=fitted,
         fitted_delta_m_error=error,
-        p_value_same=float(chdtrc(dof, chi2_same)),
-        p_value_opposite=float(chdtrc(dof, chi2_opp)),
+        p_value_same=_chi2_sf(dof, chi2_same),
+        p_value_opposite=_chi2_sf(dof, chi2_opp),
         n_groups=len(groups),
     )
 

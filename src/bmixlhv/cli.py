@@ -19,7 +19,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +355,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "symmetrized": cfg.symmetrized,
         "event_file": event_path.name,
-        **asdict(batch.rng_stats),
+        **batch.rng_stats.as_dict(),
     }
     fingerprint = batch.config_fingerprint
     headers = ("key", "value")

@@ -29,7 +29,7 @@ import io
 import os
 import signal
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,18 +150,29 @@ def config_fingerprint(config: SimConfig) -> str:
 
 @dataclass(frozen=True)
 class RngStats:
-    lambda_acceptance_rate: float
-    t2_acceptance_rate: float
+    """Proposal counts of ``n_events`` accepted events, and the acceptance
+    rates they give; each event takes at least one proposal per stage."""
+
+    n_events: int
     lambda_proposals: int
     t2_proposals: int
 
-    @classmethod
-    def from_proposals(cls, n: int, lambda_proposals: int, t2_proposals: int) -> "RngStats":
-        """Stats of ``n`` accepted events drawn from the given proposal counts;
-        each event takes at least one proposal per stage."""
-        if min(lambda_proposals, t2_proposals) < n:
-            raise ValueError(f"proposal counts must be at least the {n} events")
-        return cls(n / lambda_proposals, n / t2_proposals, lambda_proposals, t2_proposals)
+    def __post_init__(self) -> None:
+        if min(self.lambda_proposals, self.t2_proposals) < self.n_events:
+            raise ValueError(f"proposal counts must be at least the {self.n_events} events")
+
+    @property
+    def lambda_acceptance_rate(self) -> float:
+        return self.n_events / self.lambda_proposals
+
+    @property
+    def t2_acceptance_rate(self) -> float:
+        return self.n_events / self.t2_proposals
+
+    def as_dict(self) -> dict:
+        """The rates and counts as the event-file header and the manifest list them."""
+        keys = ("lambda_acceptance_rate", "t2_acceptance_rate", "lambda_proposals", "t2_proposals")
+        return {key: getattr(self, key) for key in keys}
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +312,7 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
         flavour2=flavour2,
         swapped=swapped,
         config=config,
-        rng_stats=RngStats.from_proposals(n, lambda_proposals, t2_proposals),
+        rng_stats=RngStats(n, lambda_proposals, t2_proposals),
     )
 
 
@@ -333,8 +344,8 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
     return EventBatch(
         **columns,
         config=config,
-        rng_stats=RngStats.from_proposals(n, sum(s.lambda_proposals for s in stats),
-                                          sum(s.t2_proposals for s in stats)),
+        rng_stats=RngStats(n, sum(s.lambda_proposals for s in stats),
+                           sum(s.t2_proposals for s in stats)),
     )
 
 
@@ -416,7 +427,7 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for name in _COLUMN_DTYPES]
     header = comment_header(batch.config_fingerprint, **_config_fields(batch.config),
-                            **asdict(batch.rng_stats), columns=",".join(EVENT_COLUMNS))
+                            **batch.rng_stats.as_dict(), columns=",".join(EVENT_COLUMNS))
     # _fork_map submits every block, forking the workers, before the file is
     # opened, so no worker inherits an unflushed buffer of it
     with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
@@ -485,11 +496,11 @@ def read_events(path, workers: int = 1) -> EventBatch:
     ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
     nonnegative decay times, under a UTF-8 header that holds every
     configuration field and acceptance statistic, with acceptance rates
-    equal to those :meth:`RngStats.from_proposals` gives for its proposal
-    counts.  Rows are counted from
-    the first row of the file, blank lines not included.  A row that does
-    not parse is named in ``numpy.loadtxt``'s words, which count a bad value
-    from 0 and a wrong column count from 1; the checks here count from 0.
+    equal to those the :class:`RngStats` of its proposal counts gives.
+    Rows are counted from the first row of the file, blank lines not
+    included.  A row that does not parse is named in ``numpy.loadtxt``'s
+    words, which count a bad value from 0 and a wrong column count from 1;
+    the checks here count from 0.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -516,8 +527,8 @@ def read_events(path, workers: int = 1) -> EventBatch:
             symmetrized=bool(int(header["symmetrized"])),
             max_rejection_iters=int(header["max_rejection_iters"]),
         )
-        stats = RngStats.from_proposals(config.n_events, int(header["lambda_proposals"]),
-                                        int(header["t2_proposals"]))
+        stats = RngStats(config.n_events, int(header["lambda_proposals"]),
+                         int(header["t2_proposals"]))
         rates = (float(header["lambda_acceptance_rate"]), float(header["t2_acceptance_rate"]))
     except KeyError as exc:
         raise EventFileError(f"event file header is missing {exc}") from None

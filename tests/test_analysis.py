@@ -3,8 +3,10 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.stats import chi2 as chi2_dist
 
@@ -35,7 +37,7 @@ def _mk_batch(t1, t2, f1, f2):
         flavour2=np.asarray(f2, dtype=np.int8),
         swapped=np.zeros(n, dtype=bool),
         config=SimConfig(params=DEFAULT, n_events=n, seed=0),
-        rng_stats=RngStats.from_proposals(n, n, n),
+        rng_stats=RngStats(n, n, n),
     )
 
 
@@ -287,10 +289,45 @@ def test_p_values_match_the_chi2_survival_function(small_batch):
     for bins in (10, 25, 50, 80):
         fits.append(goodness_of_fit(bin_events(small_batch, np.linspace(0.0, 5.0, bins + 1)),
                                     DEFAULT))
+    # the package sums its own closed form; scipy's differs in the last bits
     for fit in fits:
-        assert fit.p_value_same == chi2_dist.sf(fit.chi2_same, fit.dof)
-        assert fit.p_value_opposite == chi2_dist.sf(fit.chi2_opposite, fit.dof)
+        assert fit.p_value_same == pytest.approx(chi2_dist.sf(fit.chi2_same, fit.dof), rel=2e-12)
+        assert fit.p_value_opposite == pytest.approx(chi2_dist.sf(fit.chi2_opposite, fit.dof),
+                                                     rel=2e-12)
         assert type(fit.p_value_same) is float
+
+
+def _exact_chi2_sf(dof, chi2):
+    with mpmath.workdps(40):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi2) / 2, mpmath.inf,
+                               regularized=True)
+
+
+@given(st.integers(1, 2000).flatmap(
+    lambda dof: st.tuples(st.just(dof), st.floats(0.0, 10.0 * dof + 100.0))))
+@example((1, 1370.0))  # p near 1e-300 from erfc alone
+@example((2000, 3300.0))  # p near 1e-300 from a thousand terms
+@example((2000, 2000.0))
+@example((45, 1e-9))
+@example((12, 40.0))  # the top term, the first of Stirling's form, dominates
+@example((32, 120.0))  # the top term, the last before Stirling's form, dominates
+def test_chi2_sf_matches_the_regularized_incomplete_gamma(case):
+    dof, chi2 = case
+    got = analysis._chi2_sf(dof, chi2)
+    exact = _exact_chi2_sf(dof, chi2)
+    assert 0.0 <= got <= 1.0
+    if exact >= 1e-300:
+        assert abs(got - exact) <= 2e-12 * exact
+    else:
+        assert got <= 1e-300 * (1.0 + 2e-12)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 44, 45, 2000])
+def test_chi2_sf_edges(dof):
+    assert analysis._chi2_sf(dof, 0.0) == 1.0
+    assert analysis._chi2_sf(dof, math.inf) == 0.0
+    for chi2 in (0.0, math.inf, 0.5 * dof, 3.0 * dof):
+        assert type(analysis._chi2_sf(dof, chi2)) is float
 
 
 def test_trailing_sparse_bins_are_merged():

@@ -144,9 +144,9 @@ def test_analyze_adopts_file_parameters(tmp_path):
 GOLDEN_ANALYSIS_SHA256 = {
     "analysis_bins.csv": "cdc539cefa27eae31800f0d7d87b1affb55dd59f0110097f282d5df00c7988d9",
     "analysis_curves.csv": "a467083c0ce36db8986f962a1b9a2564b47f2d482fdd8dcea40d9573a0a4a121",
-    "analysis_fit.csv": "de4b2bfbc35aa4256bac6fe479d9cf8da95ef20469864c9969fa5c06565902b1",
-    "analysis_fit.txt": "733f699f79f1e45cc490635782038dbd2408226022f875907c866da2598c7983",
-    "analysis_fit.yaml": "5dd03921e3cd235ee278f9855f17acec68dea0f6cdd9e5dbc27027e913aacc80",
+    "analysis_fit.csv": "70734746a3ff5fec8f5c7e62427df8bbc8b19507abea9730ec372713257ec3c6",
+    "analysis_fit.txt": "ab21b168f74992590215dc3ace3d5dc832aff47bf284a3ffe8463baaf2750016",
+    "analysis_fit.yaml": "46cf45845c1d4271059572e22933609e46879c896a48ecd4ee5080af98b05d6c",
 }
 
 
@@ -378,12 +378,18 @@ def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
     assert point["fitted_delta_m"] is None
 
 
-def _loaded_modules(tmp_path, *argv):
-    """Modules loaded in a fresh interpreter after importing the CLI and
-    running ``main(argv)``, if given."""
+def _python(tmp_path, code):
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = str(Path(bmixlhv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, cwd=tmp_path).stdout
+
+
+def _loaded_modules(tmp_path, *argv):
+    """Modules loaded in a fresh interpreter after importing the CLI and
+    running ``main(argv)``, if given."""
     code = (
         "import sys, bmixlhv.cli\n"
         f"argv = {[str(a) for a in argv]!r}\n"
@@ -391,9 +397,7 @@ def _loaded_modules(tmp_path, *argv):
         "    assert bmixlhv.cli.main(argv) == 0\n"
         "print('loaded:', *sys.modules)\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, cwd=tmp_path)
-    return set(done.stdout.splitlines()[-1].split()[1:])
+    return set(_python(tmp_path, code).splitlines()[-1].split()[1:])
 
 
 def _scipy(modules):
@@ -404,10 +408,9 @@ def _scipy(modules):
 _POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # importing scipy costs most of a command's start-up; only the fit's
-    # p-values need it, from scipy.special, and it loads on the first fit.
-    # The process pool's modules load only for a multi-block event file
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test-only dependency: no command imports any of it.  The
+    # process pool's modules load only for a multi-block event file
     imported = _loaded_modules(tmp_path)
     assert _scipy(imported) == set()
     assert not imported & _POOL_MODULES
@@ -421,10 +424,28 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # the 3000-event file is one read block: it is parsed inline
     analyzed = _loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
                                "--threads", 2, "--out", tmp_path / "fit")
+    assert _scipy(analyzed) == set()
     assert not analyzed & _POOL_MODULES
-    fitted = _scipy(analyzed)
-    assert "scipy.special" in fitted
-    assert not {m for m in fitted if m.startswith(("scipy.optimize", "scipy.stats"))}
+    scanned = _loaded_modules(tmp_path, "scan", 0.776, 2, "--events", 3000,
+                              "--out", tmp_path / "scan")
+    assert _scipy(scanned) == set()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # with scipy unimportable, as in an install without the test extra
+    argvs = [
+        ["simulate", "--x", "0.776", "--events", "3000", "--seed", "4", "--out", "sim"],
+        ["analyze", "sim/events.csv", "--out", "fit"],
+        ["scan", "0.776", "2", "--events", "3000", "--out", "scan"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import bmixlhv.cli\n"
+        f"print([bmixlhv.cli.main(argv) for argv in {argvs!r}])\n"
+    )
+    assert _python(tmp_path, code).splitlines()[-1] == "[0, 0, 0]"
+    assert (tmp_path / "fit" / "analysis_fit.yaml").is_file()
 
 
 def _with_delta_m(path, out, delta_m):

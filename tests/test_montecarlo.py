@@ -22,6 +22,7 @@ from bmixlhv.montecarlo import (
     EventBatch,
     EventFileError,
     RejectionOverflowError,
+    RngStats,
     SimConfig,
     config_fingerprint,
     generate,
@@ -341,6 +342,22 @@ def test_event_file_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_events(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_rng_stats_rates_follow_the_counts(tmp_path):
+    # the rates are the counts' own, so any stats that can be built are
+    # stats that read_events accepts
+    stats = RngStats(3, 4, 6)
+    assert (stats.lambda_acceptance_rate, stats.t2_acceptance_rate) == (0.75, 0.5)
+    assert list(stats.as_dict()) == ["lambda_acceptance_rate", "t2_acceptance_rate",
+                                     "lambda_proposals", "t2_proposals"]
+    for counts in ((2, 6), (4, 2)):
+        with pytest.raises(ValueError, match="proposal counts must be at least the 3 events"):
+            RngStats(3, *counts)
+    batch = dataclasses.replace(generate(_config(n=3)), rng_stats=stats)
+    path = tmp_path / "events.csv"
+    write_events(batch, path)
+    assert read_events(path) == batch
 
 
 def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
