@@ -9,6 +9,12 @@ flavour.  Every event consumes its own counter-based substream, so event j
 is a pure function of (seed, j): generation partitions freely across
 workers with byte-identical output.
 
+Draw order of generator 2 (:data:`GENERATOR_VERSION`), one uniform pair
+(u_a, u_b) per cursor: phase proposals (u_a the phase, u_b the test); one
+pair whose u_a gives t1 and whose u_b is the symmetrization coin (the sides
+swap below 1/2); t2 proposals (u_a the time, u_b the test).  Event files
+of any other generator version are refused.
+
 :func:`generate` runs in fixed blocks of :data:`GENERATE_BLOCK_EVENTS`
 events, each writing its own slice of the preallocated result columns, so
 peak temporary memory does not depend on ``n_events``.
@@ -57,6 +63,10 @@ __all__ = [
 ]
 
 _ENVELOPE_SCALE = 4.0  # acceptance prob = rho / (1/4) = 4 * rho
+
+# version of the Philox kernel and draw order; in the fingerprint and the
+# event-file header, and read_events refuses any other
+GENERATOR_VERSION = 2
 
 EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped")
 
@@ -139,6 +149,7 @@ def _config_fields(config: SimConfig) -> dict:
         "seed": config.seed,
         "symmetrized": config.symmetrized,
         "max_rejection_iters": config.max_rejection_iters,
+        "generator": GENERATOR_VERSION,
     }
 
 
@@ -278,7 +289,8 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     if left.size:
         raise RejectionOverflowError("lambda")
 
-    u_a, _ = uniform_pair_block(config.seed, idx, cursor)
+    # t1 takes u_a of one pair; u_b is the symmetrization coin
+    u_a, coin = uniform_pair_block(config.seed, idx, cursor)
     cursor += 1
     t1 = -tau * np.log1p(-u_a)
     flavour1 = flavour_window_codes(lam, t1, params)
@@ -295,8 +307,7 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
 
     swapped = np.zeros(n, dtype=bool)
     if config.symmetrized:
-        u_a, _ = uniform_pair_block(config.seed, idx, cursor)
-        swapped = u_a < 0.5
+        swapped = coin < 0.5
         t1, t2 = np.where(swapped, t2, t1), np.where(swapped, t1, t2)
         flavour1, flavour2 = (
             np.where(swapped, flavour2, flavour1),
@@ -416,12 +427,14 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     which end before the call returns.  The blocks are written in order as
     they return.  The bytes depend neither on ``workers`` nor on the block
     size, and the file appears under ``path`` only once it is complete.
+
+    Raises ``ValueError``, and writes nothing, for a batch whose file
+    ``read_events`` would refuse by :func:`_check_rows`.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    for codes in (batch.flavour1, batch.flavour2):
-        if not np.isin(codes, (Flavour.B0, Flavour.B0BAR)).all():
-            raise ValueError("flavour codes must be those of B0 and B0bar")
+    _check_rows({name: getattr(batch, name) for name in _COLUMN_DTYPES},
+                batch.config.n_events, ValueError)
     starts = range(0, len(batch), WRITE_CHUNK_ROWS)
     # one list of block slices per column, in _format_rows' argument order
     columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
@@ -436,10 +449,31 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
             fh.write(text)
 
 
-def _reject_rows(bad: np.ndarray, problem: str) -> None:
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        raise EventFileError(f"row {rows[0]} {problem}")
+def _check_rows(columns: dict, n: int, error: type[Exception]) -> None:
+    """The row rules of an event file, run by ``write_events`` on a batch and
+    by ``read_events`` on what it parsed: ``n`` rows in each column, indices
+    0..n-1 in order, 0/1 swap flags, phases in [0, 2pi), finite nonnegative
+    times and B0/B0bar flavour codes.  Raises ``error`` naming the first
+    row, counted from 0, of the first rule broken."""
+    if any(column.shape != (n,) for column in columns.values()):
+        raise error(f"every column must hold the n_events={n} rows")
+    lam, t1, t2 = columns["lam"], columns["t1"], columns["t2"]
+    rules = [
+        (columns["index"] != np.arange(n, dtype=np.uint64),
+         "is out of order: its index is not its position"),
+        (columns["swapped"] > 1, "has a swapped flag other than 0 or 1"),
+        # NaN fails every comparison, so this rule also rejects it
+        (~((lam >= 0.0) & (lam < TWO_PI)) | ~((t1 >= 0.0) & (t1 < np.inf))
+         | ~((t2 >= 0.0) & (t2 < np.inf)), "has an impossible value: lambda must lie "
+         "in [0, 2pi), t1 and t2 must be finite and nonnegative"),
+        *(((columns[name] != Flavour.B0) & (columns[name] != Flavour.B0BAR),
+           f"has an unknown {name} label (flavour codes must be those of B0 and B0bar)")
+          for name in ("flavour1", "flavour2")),
+    ]
+    for bad, problem in rules:
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise error(f"row {rows[0]} {problem}")
 
 
 def _flavour_codes(labels: np.ndarray) -> np.ndarray:
@@ -492,10 +526,10 @@ def read_events(path, workers: int = 1) -> EventBatch:
     the batch nor any message depends on ``workers`` or on the block size.
 
     Raises :class:`EventFileError` unless the file holds exactly
-    ``n_events`` well-formed rows with indices ``0..n_events-1`` in order,
-    ``B0``/``B0bar`` labels, 0/1 swap flags, phases in [0, 2pi) and finite
-    nonnegative decay times, under a UTF-8 header that holds every
-    configuration field and acceptance statistic, with acceptance rates
+    ``n_events`` well-formed rows that keep the row rules of
+    :func:`_check_rows`, under a UTF-8 header of generator
+    :data:`GENERATOR_VERSION` that holds every configuration field and
+    acceptance statistic, with acceptance rates
     equal to those the :class:`RngStats` of its proposal counts gives.
     Rows are counted from the first row of the file, blank lines not
     included.  A row that does not parse is named in ``numpy.loadtxt``'s
@@ -534,6 +568,10 @@ def read_events(path, workers: int = 1) -> EventBatch:
         raise EventFileError(f"event file header is missing {exc}") from None
     except ValueError as exc:
         raise EventFileError(f"invalid event file header: {exc}") from None
+    if header.get("generator") != str(GENERATOR_VERSION):
+        raise EventFileError(f"event file is from generator {header.get('generator', '1')}; "
+                             f"this version reads generator {GENERATOR_VERSION} files only "
+                             "(generator 1 wrote no generator line)")
     if config_fingerprint(config) != fingerprint:
         raise EventFileError("event file fingerprint does not match its header fields")
     if rates != (stats.lambda_acceptance_rate, stats.t2_acceptance_rate):
@@ -578,16 +616,6 @@ def read_events(path, workers: int = 1) -> EventBatch:
     if filled != n:
         found = f"more than {n}" if filled > n else filled
         raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
-    _reject_rows(columns["index"] != np.arange(n, dtype=np.uint64),
-                 "is out of order: its index is not its position")
-    _reject_rows(columns["swapped"] > 1, "has a swapped flag other than 0 or 1")
-    # NaN fails every comparison, so each test below also rejects it
-    _reject_rows(~((columns["lam"] >= 0.0) & (columns["lam"] < TWO_PI))
-                 | ~((columns["t1"] >= 0.0) & (columns["t1"] < np.inf))
-                 | ~((columns["t2"] >= 0.0) & (columns["t2"] < np.inf)),
-                 "has an impossible value: lambda must lie in [0, 2pi), "
-                 "t1 and t2 must be finite and nonnegative")
-    for name in ("flavour1", "flavour2"):
-        _reject_rows(columns[name] == 0, f"has an unknown {name} label")
+    _check_rows(columns, n, EventFileError)
     columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(**columns, config=config, rng_stats=stats)

@@ -11,7 +11,10 @@ histograms for the symmetrization acceptance check.  They work in unit-lifetime 
 
 The scalar samplers at the end are the other kind of reference: one event
 at a time, one stream block per draw, in the generator's draw order, so the
-vectorized batch columns must match them to the last ulp.
+vectorized batch columns must match them to the last ulp.  Their stream,
+:class:`EventStream`, draws from :func:`philox4x32_reference`, a Python-int
+transcription of Salmon et al.'s Philox4x32-10 round function that shares
+no code with :mod:`bmixlhv.streams`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from scipy import integrate
 
 from bmixlhv.model import Flavour, ModelParams, flavour_window_codes, rho_table
 from bmixlhv.montecarlo import RejectionOverflowError
-from bmixlhv.streams import uniform_pair_block
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -255,6 +257,18 @@ def event_file_rows(batch) -> str:
 # vectorized path).
 
 _UINT64_MAX = 2**64 - 1
+_MASK32 = 0xFFFFFFFF
+
+
+def philox4x32_reference(key, counter):
+    """The four 32-bit output words of Philox4x32-10 for a (k0, k1) key and
+    a (c0, c1, c2, c3) counter, one block in Python ints."""
+    (k0, k1), (x0, x1, x2, x3) = key, counter
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * x0, 0xCD9E8D57 * x2
+        x0, x1, x2, x3 = (p1 >> 32) ^ x1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ x3 ^ k1, p0 & _MASK32
+        k0, k1 = (k0 + 0x9E3779B9) & _MASK32, (k1 + 0xBB67AE85) & _MASK32
+    return x0, x1, x2, x3
 
 
 @dataclass
@@ -272,13 +286,15 @@ class EventStream:
             raise ValueError(f"event index must fit in 64 bits, got {self.event_index}")
 
     def next_pair(self) -> tuple[float, float]:
-        u_a, u_b = uniform_pair_block(
-            self.seed,
-            np.asarray([self.event_index], dtype=np.uint64),
-            np.asarray([self.cursor], dtype=np.uint64),
-        )
+        """The uniforms of words w0:w1 and w2:w3 of the block at the cursor,
+        top 53 bits each; the key is the seed and the counter (cursor,
+        event index), both split low word first."""
+        w0, w1, w2, w3 = philox4x32_reference(
+            (self.seed & _MASK32, self.seed >> 32),
+            (self.cursor & _MASK32, self.cursor >> 32,
+             self.event_index & _MASK32, self.event_index >> 32))
         self.cursor += 1
-        return float(u_a[0]), float(u_b[0])
+        return ((w0 << 32 | w1) >> 11) * 2.0**-53, ((w2 << 32 | w3) >> 11) * 2.0**-53
 
     def next_uniform(self) -> float:
         return self.next_pair()[0]
@@ -296,12 +312,13 @@ def sample_lambda(stream: EventStream, params: ModelParams, max_iters: int = 10_
 
 
 def sample_side1(stream: EventStream, lam: float, params: ModelParams):
-    """Exponential decay time (inverse CDF) plus the deterministic window flavour."""
-    u, _ = stream.next_pair()
+    """Exponential decay time (inverse CDF), the deterministic window
+    flavour, and the symmetrization coin: u_a and u_b of one pair."""
+    u, coin = stream.next_pair()
     # 1 - u is uniform on (0, 1], so log1p(-u) never sees log(0)
     t1 = float(-params.tau * np.log1p(-np.float64(u)))
     code = int(flavour_window_codes(lam, t1, params))
-    return t1, Flavour(code)
+    return t1, Flavour(code), coin
 
 
 def sample_side2(stream: EventStream, lam: float, params: ModelParams, max_iters: int = 10_000):

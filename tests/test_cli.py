@@ -13,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmixlhv
-from bmixlhv import cli
+from bmixlhv import cli, montecarlo
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import config_fingerprint, read_events
 
@@ -140,13 +140,13 @@ def test_analyze_adopts_file_parameters(tmp_path):
 # sha256 of the analysis artifacts of a small physical-units run, pinned so
 # that any change of their bytes is deliberate.  The run rescales times
 # (tau = 1.5), has bins whose asymmetry variance hits its 1/total floor, and
-# 29 empty bins that report NaN.
+# 21 empty bins that report NaN.
 GOLDEN_ANALYSIS_SHA256 = {
-    "analysis_bins.csv": "cdc539cefa27eae31800f0d7d87b1affb55dd59f0110097f282d5df00c7988d9",
-    "analysis_curves.csv": "a467083c0ce36db8986f962a1b9a2564b47f2d482fdd8dcea40d9573a0a4a121",
-    "analysis_fit.csv": "70734746a3ff5fec8f5c7e62427df8bbc8b19507abea9730ec372713257ec3c6",
-    "analysis_fit.txt": "ab21b168f74992590215dc3ace3d5dc832aff47bf284a3ffe8463baaf2750016",
-    "analysis_fit.yaml": "46cf45845c1d4271059572e22933609e46879c896a48ecd4ee5080af98b05d6c",
+    "analysis_bins.csv": "7b8c02158e01324eb760463ea733ea9aeff57eb9d4f525d1295e68d2ddf86784",
+    "analysis_curves.csv": "113dfe1b15c43adafdba84344c52e924375f857e422e1dd74388866854192451",
+    "analysis_fit.csv": "5647914be4deae7b23e4b6820dec399edcdddf7fd6424e5d95c1ebffba57679c",
+    "analysis_fit.txt": "d3236902feb42097b7c9bddbe5ef8947b2376016bed06b9095e66a387a319c89",
+    "analysis_fit.yaml": "be2da7510339c8ebe25ebe184cbfb5da2d2ec586a4bc10f1eaf1ed40bec1ed76",
 }
 
 
@@ -157,8 +157,14 @@ def test_analysis_golden_digests(tmp_path):
     assert run("analyze", sim / "events.csv", "--bins", 200, "--out", fit) == 0
     bins = np.loadtxt(fit / "analysis_bins.csv", delimiter=",", comments="#",
                       skiprows=6, ndmin=2)
-    assert np.count_nonzero(bins[:, 2] + bins[:, 3] == 0.0) == 29
-    assert np.isnan(bins[bins[:, 2] + bins[:, 3] == 0.0, 6:]).all()
+    total = bins[:, 2] + bins[:, 3]
+    assert np.count_nonzero(total == 0.0) == 21
+    assert np.isnan(bins[total == 0.0, 6:]).all()
+    # bins of one class only: the variance (1 - asym^2)/total vanishes and
+    # the error is the floor's, 1/sqrt(total)
+    floored = np.abs(bins[:, 6]) == 1.0
+    assert floored.any()
+    assert np.allclose(bins[floored, 7] ** 2 * total[floored], 1.0, rtol=1e-12)
     digests = {name: hashlib.sha256((fit / name).read_bytes()).hexdigest()
                for name in GOLDEN_ANALYSIS_SHA256}
     assert digests == GOLDEN_ANALYSIS_SHA256
@@ -520,6 +526,26 @@ def test_corrupted_event_file_exits_2(tmp_path, capsys):
         (tmp_path / name).write_text("".join(kept))
         assert run("analyze", tmp_path / name, "--out", tmp_path / "fit") == 2
         assert "n_events=10" in capsys.readouterr().err
+
+
+def test_analyze_refuses_another_generator_version(tmp_path, capsys, monkeypatch):
+    # generator 3, with a fingerprint over its own generator line
+    monkeypatch.setattr(montecarlo, "GENERATOR_VERSION", 3)
+    assert run("simulate", "--x", 0.776, "--events", 10, "--out", tmp_path / "v3") == 0
+    monkeypatch.undo()
+    v3 = tmp_path / "v3" / "events.csv"
+    assert "# generator=3\n" in v3.read_text()
+    # a generator 1 header has no generator line
+    v1 = tmp_path / "v1.csv"
+    v1.write_text("".join(line for line in v3.read_text().splitlines(keepends=True)
+                          if not line.startswith("# generator=")))
+    capsys.readouterr()
+    for path, found in ((v1, 1), (v3, 3)):
+        assert run("analyze", path, "--out", tmp_path / "fit") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: event file is from generator {found}; this version reads "
+                       "generator 2 files only (generator 1 wrote no generator line)\n")
+    assert not (tmp_path / "fit").exists()
 
 
 def test_analyze_of_an_unreadable_path_exits_2(tmp_path, capsys):

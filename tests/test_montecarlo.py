@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from bmixlhv import model, montecarlo, streams
@@ -130,16 +131,24 @@ def test_extreme_x_runs_in_bounded_memory(x):
 
 
 def test_scalar_samplers_reproduce_the_batch_columns():
-    cfg = _config(n=5, seed=2024)
-    batch = generate(cfg)
-    for i in range(5):
-        stream = EventStream(seed=cfg.seed, event_index=i)
-        lam = sample_lambda(stream, cfg.params)
-        t1, f1 = sample_side1(stream, lam, cfg.params)
-        t2, f2 = sample_side2(stream, lam, cfg.params)
-        assert lam == batch.lam[i]
-        assert t1 == batch.t1[i] and int(f1) == batch.flavour1[i]
-        assert t2 == batch.t2[i] and int(f2) == batch.flavour2[i]
+    for symmetrized in (False, True):
+        cfg = _config(n=5, seed=2024, symmetrized=symmetrized)
+        batch = generate(cfg)
+        for i in range(5):
+            stream = EventStream(seed=cfg.seed, event_index=i)
+            lam = sample_lambda(stream, cfg.params)
+            t1, f1, coin = sample_side1(stream, lam, cfg.params)
+            t2, f2 = sample_side2(stream, lam, cfg.params)
+            # the coin is u_b of the t1 pair; below 1/2 the sides swap
+            swapped = symmetrized and coin < 0.5
+            if swapped:
+                t1, f1, t2, f2 = t2, f2, t1, f1
+            assert lam == batch.lam[i]
+            assert t1 == batch.t1[i] and int(f1) == batch.flavour1[i]
+            assert t2 == batch.t2[i] and int(f2) == batch.flavour2[i]
+            assert swapped == batch.swapped[i]
+    # the symmetrized batch has swapped and unswapped events
+    assert 0 < batch.swapped.sum() < len(batch)
 
 
 def test_generate_rejects_bad_worker_count():
@@ -281,6 +290,22 @@ def test_symmetrized_swaps_are_bookkept():
     assert np.array_equal(sym.flavour2[sw], std.flavour1[sw])
 
 
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**64 - 1), x=st.sampled_from([0.01, 0.776, 5.0, 1000.0]))
+def test_symmetrizing_only_swaps_the_sides(seed, x):
+    # the coin is the spare u_b of the t1 pair, so it costs no draw: the
+    # phase, both proposal counts and the unordered times stay as they are
+    plain = generate(_config(n=200, seed=seed, dm=x))
+    sym = generate(_config(n=200, seed=seed, dm=x, symmetrized=True))
+    assert np.array_equal(sym.lam, plain.lam)
+    assert sym.rng_stats == plain.rng_stats
+    sw = sym.swapped
+    assert np.array_equal(np.where(sw, sym.t2, sym.t1), plain.t1)
+    assert np.array_equal(np.where(sw, sym.t1, sym.t2), plain.t2)
+    assert np.array_equal(np.where(sw, sym.flavour2, sym.flavour1), plain.flavour1)
+    assert np.array_equal(np.where(sw, sym.flavour1, sym.flavour2), plain.flavour2)
+
+
 def test_symmetrizing_preserves_lag_histograms():
     """Swapping sides changes neither |t1-t2| nor the same/opposite class, so
     a same-seed symmetrized run has the identical lag histogram — which is
@@ -303,15 +328,15 @@ def test_symmetrizing_preserves_lag_histograms():
 # Any change to the event bytes must be deliberate: bump the generator
 # version and update these digests together.
 GOLDEN_EVENT_FILE_SHA256 = {
-    (0.776, False): "5a58b3e284443db65182bba1d85ed16c53623ae2abc36df0454b2a2f0d4c580b",
-    (0.776, True): "2f81f4a57fd0925e4cb0619bc832d89f37078415519132e60329b0e71c9a2dc9",
-    (5.0, False): "8a3c0dda9adf4b63a11b76f8a900f9568e01f0f1cc561bbf3e4343a5c377c7fd",
-    (5.0, True): "d87a3a45d6fcb41b88168d626c6b3cbc80d74d3be0fa9731676410304814f15c",
+    (0.776, False): "00c26cee3300d807daf7a87419f9d06465575473604574ef2f839b930ffe9ea3",
+    (0.776, True): "5970a257b36eaf269e03f72119fa850491664a7e3a65fd144c27fb5c138a33e9",
+    (5.0, False): "ea4ddc8480ab0f739602c3faf7105569c440ecdaedd92aaeaf27dbe1bb374728",
+    (5.0, True): "d2e2368f159b0dc2d560cdcdac9de77a50e5281e0e0f55f8c0cbefc15992d64a",
     # both ends of the supported x range
-    (0.01, False): "91c83546be95c6e158593126818862a807e435193d359329899db707e03a72fc",
-    (0.01, True): "e23b2128a89844c7f2d7880218001af69de20665a547e03b6daf714eed2a7443",
-    (1000.0, False): "4da0e77a6d85da18136ffa8514eb657526e9eb467209f854a6579c66694aebf3",
-    (1000.0, True): "e6a3a1e3d426c1b8012dee9573b85caf6601bdb330c0d3e3ed8d504dc97b3211",
+    (0.01, False): "d5a77b549252fce1d99ceb12314381eff7e0b3c1a894b7892354c07bdd65b5b3",
+    (0.01, True): "9d3d196226f4f38c548d6dbf6ed93c0eb488bc85ab09813fcf4bd7c672fb5786",
+    (1000.0, False): "413951507d19980339a5c011db60b5ad88a391fa5c7b73a56c758c4242b8624c",
+    (1000.0, True): "0767b2ceb07136273ffbdd7009822369c93c38fdb510faa28db01f585e1bf246",
 }
 
 
@@ -693,6 +718,69 @@ def test_event_file_rejects_malformed_rows(tmp_path):
             read_events(path)
 
 
+def test_write_events_refuses_what_read_events_would(tmp_path):
+    # each edit breaks one rule that read_events checks: no file appears
+    batch = generate(_config(n=4, seed=8))
+
+    def edited(name, row, value):
+        column = getattr(batch, name).copy()
+        column[row] = value
+        return dataclasses.replace(batch, **{name: column})
+
+    cases = {
+        "nan_t1": (edited("t1", 1, np.nan), "row 1 has an impossible value"),
+        "lambda_7": (edited("lam", 2, 7.0), "row 2 has an impossible value"),
+        "negative_t2": (edited("t2", 0, -1.0), "row 0 has an impossible value"),
+        "swapped_indices": (dataclasses.replace(batch, index=batch.index[[0, 2, 1, 3]]),
+                            "row 1 is out of order"),
+        "n_events": (dataclasses.replace(batch, config=_config(n=5, seed=8)), "n_events=5"),
+        "ragged": (dataclasses.replace(batch, config=_config(n=2, seed=8),
+                                       index=batch.index[:2]), "n_events=2"),
+    }
+    path = tmp_path / "x.csv"
+    for bad, problem in cases.values():
+        with pytest.raises(ValueError, match=problem):
+            write_events(bad, path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_event_file_of_another_generator_is_refused(tmp_path, monkeypatch):
+    message = (r"event file is from generator {}; this version reads generator 2 files "
+               r"only \(generator 1 wrote no generator line\)")
+    # a file as generator 1 wrote it, with no generator line
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(GENERATOR_1_EVENT_FILE)
+    with pytest.raises(EventFileError, match=message.format(1)):
+        read_events(v1)
+    # a generator 3 file whose fingerprint covers its generator line
+    monkeypatch.setattr(montecarlo, "GENERATOR_VERSION", 3)
+    v3 = tmp_path / "v3.csv"
+    write_events(generate(_config(n=3)), v3)
+    monkeypatch.undo()
+    assert "# generator=3\n" in v3.read_text()
+    with pytest.raises(EventFileError, match=message.format(3)):
+        read_events(v3)
+
+
+# simulate --x 0.776 --events 2 --seed 1, as generator 1 wrote it
+GENERATOR_1_EVENT_FILE = """\
+# fingerprint=a220d83419362f172505952c2da3f821fb0015b77ce4c134fcb99eb4f1e4d499
+# tau=1.0
+# delta_m=0.776
+# n_events=2
+# seed=1
+# symmetrized=0
+# max_rejection_iters=10000
+# lambda_acceptance_rate=0.5
+# t2_acceptance_rate=0.3333333333333333
+# lambda_proposals=4
+# t2_proposals=6
+# columns=index,lambda,t1,flavour1,t2,flavour2,swapped
+0,5.656553517113243,0.5246910155570642,B0bar,3.572725424103266,B0bar,0
+1,0.14152584025729661,0.37842675702727535,B0bar,0.9440637656121446,B0,0
+"""
+
+
 def test_write_events_rejects_unknown_flavour_codes(tmp_path):
     cfg = _config(n=4, seed=8)
     batch = generate(cfg)
@@ -823,8 +911,8 @@ def test_short_ranges_draw_few_pairs_beyond_those_used(monkeypatch, n_events, st
     cfg = _config(n=n_events, seed=3, symmetrized=True)
     batch = generate_events(cfg, start, cfg.n_events)
     stats = batch.rng_stats
-    # each event also draws one pair for t1 and one for the swap
-    used = stats.lambda_proposals + stats.t2_proposals + 2 * len(batch)
+    # each event also draws one pair for t1, whose u_b is the swap coin
+    used = stats.lambda_proposals + stats.t2_proposals + len(batch)
     assert sum(drawn) <= 1.2 * used
 
 

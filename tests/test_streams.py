@@ -1,23 +1,36 @@
-"""Counter-based stream tests, anchored to numpy's Philox as the reference."""
+"""Counter-based stream tests, anchored to Random123's known-answer vectors
+and to the Python-int Philox4x32-10 reference in ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
-from numpy.random import Philox
 
-from bmixlhv.streams import philox4x64, uniform_pair_block
-from oracles import EventStream
+from bmixlhv.streams import philox4x32, uniform_pair_block
+from oracles import EventStream, philox4x32_reference
+
+_MASK32 = 0xFFFFFFFF
 
 
-def _reference_block(key, counter):
-    """The four raw words numpy's philox4x64-10 emits for this key/counter.
+def _kernel_words(key, counter):
+    """The four 32-bit words the package kernel emits for a (k0, k1) key and
+    a (c0, c1, c2, c3) counter: the seed is k1:k0, the cursor c1:c0 and the
+    event index c3:c2."""
+    seed = key[1] << 32 | key[0]
+    cursor = counter[1] << 32 | counter[0]
+    index = counter[3] << 32 | counter[2]
+    w01, w23 = (int(w) for w in philox4x32(seed, np.uint64(index), np.uint64(cursor)))
+    return w01 >> 32, w01 & _MASK32, w23 >> 32, w23 & _MASK32
 
-    numpy increments its 256-bit counter before producing a block, so the
-    block labelled `counter` here comes out of numpy at counter - 1.
-    """
-    k = np.array([int(w) for w in key], dtype=np.uint64)
-    value = (sum(int(w) << (64 * i) for i, w in enumerate(counter)) - 1) % 2**256
-    c = np.array([(value >> (64 * i)) & (2**64 - 1) for i in range(4)], dtype=np.uint64)
-    return Philox(key=k, counter=c).random_raw(4)
+
+# Random123's kat_vectors for philox4x32_10: (key, counter, output words)
+@pytest.mark.parametrize("key,counter,words", [
+    ((0, 0), (0, 0, 0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((_MASK32, _MASK32), (_MASK32,) * 4, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0xA4093822, 0x299F31D0), (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+])
+def test_known_answer_vectors(key, counter, words):
+    assert philox4x32_reference(key, counter) == words
+    assert _kernel_words(key, counter) == words
 
 
 @pytest.mark.parametrize(
@@ -27,50 +40,57 @@ def _reference_block(key, counter):
         ((0, 0), (2, 0, 0, 0)),
         ((1, 0), (1, 0, 0, 0)),
         ((0xDEADBEEF, 0xFACE), (1, 0, 42, 0)),
-        ((20260814, 0), (17, 0, 999_983, 0)),
-        ((2**64 - 1, 2**63), (123456789, 0, 2**64 - 2, 0)),
+        # an event index of 2^32 and more, and a cursor of 2^32
+        ((20260814, 0), (17, 0, 999_983, 1)),
+        ((_MASK32, 2**31), (0, 1, _MASK32 - 1, _MASK32)),
     ],
 )
-def test_block_matches_numpy_philox(key, counter):
-    ours = philox4x64(key[0], key[1], *counter)
-    theirs = _reference_block(key, counter)
-    assert [int(w[0]) for w in ours] == list(theirs)
+def test_block_matches_the_reference(key, counter):
+    assert _kernel_words(key, counter) == philox4x32_reference(key, counter)
 
 
 def test_vector_counters_match_scalar_blocks():
     # one call with an array counter lane == many scalar calls
-    c0 = np.arange(1, 33, dtype=np.uint64)
-    words = philox4x64(7, 0, c0, 0, 5, 0)
-    for i, c in enumerate(c0):
-        single = philox4x64(7, 0, c, 0, 5, 0)
-        assert [int(w[i]) for w in words] == [int(w[0]) for w in single]
+    cursors = np.arange(1, 33, dtype=np.uint64)
+    words = philox4x32(7, 5, cursors)
+    for i, c in enumerate(cursors):
+        single = philox4x32(7, 5, c)
+        assert [int(w[i]) for w in words] == [int(w) for w in single]
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 70_000])
-def test_array_lanes_match_numpy_philox(lanes):
-    # every lane has its own random key and counter
+def test_array_lanes_match_the_reference(lanes):
+    # every lane has its own random event index and cursor, all 64 bits
     rng = np.random.default_rng(lanes)
-    key = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
-    counter = rng.integers(0, 2**64, size=(4, lanes), dtype=np.uint64)
-    ours = np.stack(philox4x64(*key, *counter))
-    assert ours.shape == (4, lanes)
+    seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+    index, cursor = rng.integers(0, 2**64, size=(2, lanes), dtype=np.uint64)
+    w01, w23 = philox4x32(seed, index, cursor)
+    assert w01.shape == w23.shape == (lanes,)
+    key = (seed & _MASK32, seed >> 32)
     for lane in range(lanes):
-        theirs = _reference_block(key[:, lane], counter[:, lane])
-        assert np.array_equal(ours[:, lane], theirs), f"lane {lane}"
+        i, c = int(index[lane]), int(cursor[lane])
+        want = philox4x32_reference(key, (c & _MASK32, c >> 32, i & _MASK32, i >> 32))
+        got = (int(w01[lane]) >> 32, int(w01[lane]) & _MASK32,
+               int(w23[lane]) >> 32, int(w23[lane]) & _MASK32)
+        assert got == want, f"lane {lane}"
+
+
+def test_uniforms_are_the_top_53_bits_of_the_words():
+    rng = np.random.default_rng(8)
+    index, cursor = rng.integers(0, 2**64, size=(2, 1000), dtype=np.uint64)
+    w01, w23 = philox4x32(2**64 - 3, index, cursor)
+    u_a, u_b = uniform_pair_block(2**64 - 3, index, cursor)
+    assert np.array_equal(u_a * 2.0**53, (w01 >> np.uint64(11)).astype(np.float64))
+    assert np.array_equal(u_b * 2.0**53, (w23 >> np.uint64(11)).astype(np.float64))
 
 
 def test_kernel_leaves_its_inputs_unchanged():
     rng = np.random.default_rng(5)
-    key = rng.integers(0, 2**64, size=(2, 100), dtype=np.uint64)
-    counter = rng.integers(0, 2**64, size=(4, 100), dtype=np.uint64)
-    key_before, counter_before = key.copy(), counter.copy()
-    philox4x64(*key, *counter)
-    assert np.array_equal(key, key_before) and np.array_equal(counter, counter_before)
-
-    idx = np.arange(100, dtype=np.uint64)
-    cursor = np.full(100, 3, dtype=np.uint64)
-    uniform_pair_block(9, idx, cursor)
-    assert np.array_equal(idx, np.arange(100)) and np.array_equal(cursor, np.full(100, 3))
+    index, cursor = rng.integers(0, 2**64, size=(2, 100), dtype=np.uint64)
+    index_before, cursor_before = index.copy(), cursor.copy()
+    philox4x32(3, index, cursor)
+    uniform_pair_block(9, index, cursor)
+    assert np.array_equal(index, index_before) and np.array_equal(cursor, cursor_before)
 
 
 def test_uniform_pair_block_range_and_determinism():
@@ -106,14 +126,16 @@ def test_distinct_lanes_are_distinct():
 
 
 def test_event_stream_walks_its_lane():
-    stream = EventStream(seed=3, event_index=5)
-    pairs = [stream.next_pair() for _ in range(4)]
-    assert stream.cursor == 4
-    idx = np.full(4, 5, dtype=np.uint64)
-    cur = np.arange(4, dtype=np.uint64)
-    u_a, u_b = uniform_pair_block(3, idx, cur)
-    assert [p[0] for p in pairs] == list(u_a)
-    assert [p[1] for p in pairs] == list(u_b)
+    # the scalar stream draws from the reference, the batch from the kernel
+    for seed, event in ((3, 5), (2**64 - 1, 2**32 + 7)):
+        stream = EventStream(seed=seed, event_index=event)
+        pairs = [stream.next_pair() for _ in range(4)]
+        assert stream.cursor == 4
+        idx = np.full(4, event, dtype=np.uint64)
+        cur = np.arange(4, dtype=np.uint64)
+        u_a, u_b = uniform_pair_block(seed, idx, cur)
+        assert [p[0] for p in pairs] == list(u_a)
+        assert [p[1] for p in pairs] == list(u_b)
 
 
 def test_event_stream_next_uniform_consumes_a_block():
