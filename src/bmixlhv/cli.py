@@ -227,7 +227,10 @@ def resolve_config(args) -> RunConfig:
         except ValueError:
             raise ConfigError(f"invalid {THREADS_ENV_VAR}={env_threads!r}") from None
     if threads is None:
-        threads = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cpuset can
+        # narrow below os.cpu_count()
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
     requested = [f.strip() for f in formats_text.split(",") if f.strip()]
     unknown = [f for f in requested if f not in reporting.FORMATS]

@@ -13,7 +13,8 @@ All functions here are pure and built from numpy operators, so one code
 path takes a scalar (giving a scalar) or broadcasts over arrays: the
 verification quadrature evaluates the densities on whole node arrays.  The
 normalizer 1/N(lambda) has an elementary closed form (:func:`inverse_n`),
-which the sampler evaluates directly on whole arrays of proposed phases.
+which the sampler evaluates at its squeeze bins' edges and on the few
+proposed phases those bounds leave undecided.
 """
 
 from __future__ import annotations

@@ -19,8 +19,13 @@ of any other generator version are refused.
 events, each writing its own slice of the preallocated result columns, so
 peak temporary memory does not depend on ``n_events``.
 
-The phase accept test evaluates the closed-form phase density
-(:func:`bmixlhv.model.rho_table`) on each round's whole array of proposals.
+The phase accept test u_b < 4 rho(2pi u_a) reads proven bounds on 4 rho in
+the proposal's bin of :data:`_SQUEEZE_BINS` over [0, 2pi) first, and
+evaluates the closed-form density (:func:`bmixlhv.model.rho_table`) only
+where u_b lies between them, about 0.6 % of proposals.  4 rho is
+1-Lipschitz in lam, so the mean of a bin's edge values +- half its width
+(and a rounding margin) bounds it: every decision is the exact test's, and
+no byte changes.
 Both rejection loops run in :func:`_first_accepted`, which draws several
 consecutive proposals per lane once few lanes are pending, so the few long
 t2 chains near lam = pi/2 at small x cost a few rounds, not hundreds.
@@ -32,6 +37,7 @@ import concurrent.futures
 import contextlib
 import hashlib
 import io
+import math
 import os
 import signal
 import warnings
@@ -63,6 +69,14 @@ __all__ = [
 ]
 
 _ENVELOPE_SCALE = 4.0  # acceptance prob = rho / (1/4) = 4 * rho
+
+# equal phase bins of the squeeze on the phase accept test; a power of 2,
+# so the bin of u_a is exact.  No output byte depends on it.
+_SQUEEZE_BINS = 1024
+
+# slack of the squeeze bounds for the rounding of 4 rho, its knots and
+# 2 pi u_a, each some 1e-15
+_SQUEEZE_MARGIN = 1e-9
 
 # version of the Philox kernel and draw order; in the fingerprint and the
 # event-file header, and read_events refuses any other
@@ -268,6 +282,33 @@ def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test
     return values, int(spent.sum()), pending
 
 
+def _squeeze_bounds(table):
+    """Bounds lo[j] <= 4 rho(lam) <= hi[j] for lam in the j-th of
+    :data:`_SQUEEZE_BINS` equal bins over [0, 2pi), from the closed form at
+    the bin edges (``table`` is the phase density).
+
+    4 rho = inverse_n / tau is 1-Lipschitz in lam, since
+    ||cos u| - |cos v|| <= |u - v| and the exponential weight integrates to
+    tau.  So on a bin [a, b] it lies within (b - a) / 2 = pi / M of the
+    mean of its edge values, kinks included; the margin
+    :data:`_SQUEEZE_MARGIN` covers rounding.
+    """
+    knots = _ENVELOPE_SCALE * table(np.linspace(0.0, TWO_PI, _SQUEEZE_BINS + 1))
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    half = math.pi / _SQUEEZE_BINS + _SQUEEZE_MARGIN
+    return mid - half, mid + half
+
+
+def _squeeze(bounds, u_a, u_b):
+    """The phase accept test ``u_b < 4 rho(2 pi u_a)`` as far as the bin
+    bounds decide it: (accepted, undecided), where the undecided lanes lie
+    between their bin's bounds and need the density itself."""
+    lo, hi = bounds
+    j = (u_a * _SQUEEZE_BINS).astype(np.intp)
+    accept = u_b < lo[j]
+    return accept, ~accept & (u_b < hi[j])
+
+
 def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     """Generate the events with indices in [start, stop); stats cover the range."""
     if not 0 <= start <= stop <= config.n_events:
@@ -277,13 +318,17 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     params = config.params
     tau, dm = params.tau, params.delta_m
     table = rho_table(params)
+    bounds = _squeeze_bounds(table)
     n = stop - start
     idx = np.arange(start, stop, dtype=np.uint64)
     cursor = np.zeros(n, dtype=np.uint64)
 
     def lambda_test(lanes, u_a, u_b):
         prop = TWO_PI * u_a
-        return u_b < _ENVELOPE_SCALE * table(prop), prop
+        accept, undecided = _squeeze(bounds, u_a, u_b)
+        near = np.flatnonzero(undecided)
+        accept[near] = u_b[near] < _ENVELOPE_SCALE * table(prop[near])
+        return accept, prop
 
     lam, lambda_proposals, left = _first_accepted(config, idx, cursor, lambda_test)
     if left.size:

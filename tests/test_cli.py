@@ -207,6 +207,17 @@ def test_threads_env_var_is_honoured(tmp_path, monkeypatch):
     ).read_bytes()
 
 
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    # under taskset or a cpuset the machine's CPU count over-subscribes
+    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["simulate", "--x", "0.776"])
+    assert cli.resolve_config(args).threads == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.resolve_config(args).threads == 64
+
+
 def test_every_artifact_opens_with_its_fingerprint(tmp_path):
     out = tmp_path / "sim"
     assert run("simulate", "--x", 0.776, "--events", 25, "--seed", 2, "--out", out) == 0

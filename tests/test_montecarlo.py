@@ -650,10 +650,11 @@ def test_event_file_rejects_fingerprint_tampering(tmp_path):
     batch = generate(cfg)
     path = tmp_path / "events.csv"
     write_events(batch, path)
-    lines = path.read_text().splitlines()
-    lines[3] = "# seed=12345"  # change a header field out from under the digest
-    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(EventFileError):
+    text = path.read_text()
+    assert "\n# seed=77\n" in text
+    # change a header field out from under the digest; every other line stays
+    (tmp_path / "bad.csv").write_text(text.replace("\n# seed=77\n", "\n# seed=12345\n"))
+    with pytest.raises(EventFileError, match="fingerprint"):
         read_events(tmp_path / "bad.csv")
 
 
@@ -914,6 +915,89 @@ def test_short_ranges_draw_few_pairs_beyond_those_used(monkeypatch, n_events, st
     # each event also draws one pair for t1, whose u_b is the swap coin
     used = stats.lambda_proposals + stats.t2_proposals + len(batch)
     assert sum(drawn) <= 1.2 * used
+
+
+def _squeeze_probes(bounds, four_rho):
+    """Uniform pairs where a squeeze would go wrong first: u_a at both ends
+    of every bin and at the kinks lam = pi/2 and 3pi/2, each with u_b just
+    below, at and just above the computed 4 rho and each bound."""
+    bins = montecarlo._SQUEEZE_BINS
+    j = np.arange(bins)
+    kinks = np.array([0.25, 0.75])
+    u_a = np.concatenate([j / bins, np.nextafter((j + 1) / bins, 0.0),
+                          kinks, np.nextafter(kinks, 0.0), np.nextafter(kinks, 1.0)])
+    lo, hi = bounds
+    k = (u_a * bins).astype(int)
+    levels = [four_rho(TWO_PI * u_a), lo[k], hi[k]]
+    u_b = np.stack([np.nextafter(v, d) for v in levels for d in (-1.0, v, 1.0)])
+    u_a = np.broadcast_to(u_a, u_b.shape)
+    keep = (u_b >= 0.0) & (u_b < 1.0)
+    return u_a[keep], u_b[keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_x=st.floats(-2.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_squeeze_decides_as_the_exact_test(log_x, seed):
+    # accept below lo, reject from hi on: both must be the decision of
+    # u_b < 4 rho(2 pi u_a) as the sampler computes it, which decides the rest
+    table = model.rho_table(ModelParams(1.0, 10.0**log_x))
+
+    def four_rho(lam):
+        return montecarlo._ENVELOPE_SCALE * table(lam)
+
+    bounds = montecarlo._squeeze_bounds(table)
+    rng = np.random.default_rng(seed)
+    probes = _squeeze_probes(bounds, four_rho)
+    u_a = np.concatenate([rng.random(20_000), probes[0]])
+    u_b = np.concatenate([rng.random(20_000), probes[1]])
+    accept, undecided = montecarlo._squeeze(bounds, u_a, u_b)
+    exact = u_b < four_rho(TWO_PI * u_a)
+    assert np.array_equal(accept[~undecided], exact[~undecided])
+    assert not np.any(accept & undecided)
+    # the bounds themselves, 64 points per bin and the last uniform of each
+    bins = montecarlo._SQUEEZE_BINS
+    dense = np.concatenate([np.arange(64 * bins) / (64 * bins),
+                            np.nextafter(np.arange(1, bins + 1) / bins, 0.0)])
+    k = (dense * bins).astype(int)
+    value = four_rho(TWO_PI * dense)
+    lo, hi = bounds
+    assert np.all(lo[k] <= value) and np.all(value <= hi[k])
+
+
+@pytest.mark.parametrize("x", [0.01, 0.776, 5.0, 1000.0])
+def test_squeeze_changes_no_draw(monkeypatch, x):
+    # bounds (0, inf) leave every lane to the exact test on the whole array,
+    # the accept test without a squeeze: events and stats must not move
+    bins = montecarlo._SQUEEZE_BINS
+    for seed in (5, 2**64 - 3):
+        for symmetrized in (False, True):
+            cfg = _config(n=2 * GENERATE_BLOCK_EVENTS + 7, seed=seed, dm=x,
+                          symmetrized=symmetrized)
+            default = generate(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "_squeeze_bounds",
+                              lambda table: (np.zeros(bins), np.full(bins, np.inf)))
+                assert generate(cfg) == default
+
+
+def test_squeeze_leaves_few_phases_to_the_density(monkeypatch):
+    points = []
+
+    def counting_table(params):
+        table = model.rho_table(params)
+
+        def counted(lam):
+            points.append(np.size(lam))
+            return table(lam)
+
+        return counted
+
+    monkeypatch.setattr(montecarlo, "rho_table", counting_table)
+    batch = generate(_config(n=100_000, seed=8))
+    blocks = -(-len(batch) // GENERATE_BLOCK_EVENTS)
+    # each block evaluates the density at its bin edges, then only between bounds
+    near = sum(points) - blocks * (montecarlo._SQUEEZE_BINS + 1)
+    assert 0 < near < 0.02 * batch.rng_stats.lambda_proposals
 
 
 def test_largest_uniform_keeps_the_phase_below_two_pi():
