@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 MIN_EXPECTED_PER_BIN = 10.0
+BIN_CHUNK_EVENTS = 65_536  # events bin_events places per pass; no count depends on it
 
 # the constants of scipy's golden-section minimizer, kept so that
 # :func:`_golden` returns the same float for the same bracket
@@ -112,21 +113,23 @@ class FitResult:
 
 def bin_events(batch: EventBatch, edges) -> BinnedRates:
     """Histogram |t1 - t2| with half-open bins [lo, hi), split by class.
-    Raises ValueError unless :func:`_checked_edges` accepts the edges."""
+    Raises ValueError unless :func:`_checked_edges` accepts the edges.
+    Integer counts summed over chunks of :data:`BIN_CHUNK_EVENTS` events
+    keep the scratch memory flat in n; the chunk size changes no count."""
     edges = _checked_edges(edges)
     nbins = edges.size - 1
-    dt = np.abs(batch.t1 - batch.t2)
-    pos = np.searchsorted(edges, dt, side="right") - 1
-    in_range = (pos >= 0) & (pos < nbins)
-    same = batch.flavour1 == batch.flavour2
-    counts_same = np.bincount(pos[in_range & same], minlength=nbins).astype(float)
-    counts_opp = np.bincount(pos[in_range & ~same], minlength=nbins).astype(float)
-    return BinnedRates(
-        edges=edges,
-        counts_same=counts_same,
-        counts_opposite=counts_opp,
-        n_total=len(batch),
-    )
+    # per class, nbins bins and one slot for the lags outside the edges
+    counts = np.zeros(2 * (nbins + 1), dtype=np.int64)
+    for start in range(0, len(batch), BIN_CHUNK_EVENTS):
+        part = slice(start, start + BIN_CHUNK_EVENTS)
+        dt = np.abs(batch.t1[part] - batch.t2[part])
+        # -1 below the first edge; nbins at or beyond the last, or for NaN
+        pos = np.searchsorted(edges, dt, side="right") - 1
+        pos[pos < 0] = nbins
+        pos += (nbins + 1) * (batch.flavour1[part] != batch.flavour2[part])
+        counts += np.bincount(pos, minlength=counts.size)
+    same, opposite = counts.reshape(2, nbins + 1)[:, :nbins].astype(float)
+    return BinnedRates(edges, same, opposite, n_total=len(batch))
 
 
 def _exp_segment(a, b, tau: float):

@@ -247,7 +247,7 @@ def resolve_config(args) -> RunConfig:
     if bins < 1:
         raise ConfigError(f"bins must be at least 1, got {bins}")
     if dt_max is not None and not (math.isfinite(dt_max) and dt_max > 0.0):
-        raise ConfigError(f"dt-max must be positive, got {dt_max}")
+        raise ConfigError(f"dt-max must be finite and positive, got {dt_max}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
 
@@ -489,7 +489,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
         print("error: scan needs at least one mixing value", file=sys.stderr)
         return EXIT_CONFIG
     if any(not (math.isfinite(x) and x > 0.0) for x in x_values):
-        print("error: all mixing values must be positive", file=sys.stderr)
+        print("error: all mixing values must be finite and positive", file=sys.stderr)
         return EXIT_CONFIG
 
     headers = ("x", "max_verify_residual", "verify_passed", "fitted_delta_m",

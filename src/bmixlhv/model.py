@@ -149,11 +149,12 @@ def inverse_n(lam, params: ModelParams):
     a = 1.0 / params.x
     s0 = np.mod(lam - HALF_PI, math.pi)
     decay = np.exp(-a * s0)
-    # both terms carry the common factor 1/(1 + a^2), applied last
+    # both terms carry the common factor 1/(1 + a^2), applied last with tau/x
+    # as tau / (x + a): a * a would overflow for x below about 1e-154
     head = np.abs(decay * (a * np.cos(lam - s0) + np.sin(lam - s0))
                   - (a * np.cos(lam) + np.sin(lam)))
     tail = decay * (1.0 + math.exp(-a * math.pi)) / -math.expm1(-a * math.pi)
-    val = params.tau / params.x * (head + tail) / (1.0 + a * a)
+    val = params.tau * (head + tail) / (params.x + a)
     return float(val) if val.ndim == 0 else val
 
 

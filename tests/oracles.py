@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from bmixlhv.analysis import BinnedRates
 from bmixlhv.model import Flavour, ModelParams, flavour_window_codes, rho_table
 from bmixlhv.montecarlo import RejectionOverflowError
 
@@ -235,6 +236,24 @@ def two_sample_chi2(a, b) -> tuple[float, int]:
         np.sum((k1 * cells_a[mask] - k2 * cells_b[mask]) ** 2 / (cells_a + cells_b)[mask])
     )
     return stat, int(mask.sum()) - 1
+
+
+def bin_events_one_shot(batch, edges) -> BinnedRates:
+    """The lag histogram of the whole batch in one pass over full-length
+    arrays: the reference for the chunked :func:`bmixlhv.analysis.bin_events`,
+    whose counts must equal these exactly."""
+    edges = np.asarray(edges, dtype=float)
+    nbins = edges.size - 1
+    dt = np.abs(batch.t1 - batch.t2)
+    pos = np.searchsorted(edges, dt, side="right") - 1
+    in_range = (pos >= 0) & (pos < nbins)
+    same = batch.flavour1 == batch.flavour2
+    return BinnedRates(
+        edges=edges,
+        counts_same=np.bincount(pos[in_range & same], minlength=nbins).astype(float),
+        counts_opposite=np.bincount(pos[in_range & ~same], minlength=nbins).astype(float),
+        n_total=len(batch),
+    )
 
 
 def event_file_rows(batch) -> str:

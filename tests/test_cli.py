@@ -324,6 +324,25 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("simulate", "--x", 0.7, "--events", 10, "--threads", 0, "--out", out) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "events.csv", "--dt-max", "inf"), "dt-max must be finite and positive, got inf"),
+    (("analyze", "events.csv", "--dt-max", "nan"), "dt-max must be finite and positive, got nan"),
+    (("scan", "inf"), "all mixing values must be finite and positive"),
+    (("scan", "0.776", "nan"), "all mixing values must be finite and positive"),
+])
+def test_non_finite_values_are_refused_as_such(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
+    # 1/N must stay finite there, or no lambda proposal is ever accepted and
+    # the rejection budget runs out
+    out = tmp_path / "tiny"
+    assert run("simulate", "--x", 1e-200, "--events", 1000, "--seed", 1, "--out", out) == 0
+    assert len(read_events(out / "events.csv")) == 1000
+
+
 def test_analyze_rejects_mismatched_model(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "--x", 0.776, "--events", 20000, "--out", sim) == 0

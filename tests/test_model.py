@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bmixlhv.model import (
     Flavour,
@@ -182,6 +182,19 @@ def test_inverse_n_is_pi_periodic():
 def test_inverse_n_bounds(lam, dm):
     val = inverse_n(lam, ModelParams(tau=1.0, delta_m=dm))
     assert 0.0 < val <= 1.0
+
+
+@given(lam=lams, log_x=st.floats(min_value=-300.0, max_value=300.0),
+       tau=st.sampled_from([0.5, 1.0, 1.5]))
+@example(lam=0.0, log_x=-200.0, tau=1.0)
+@example(lam=0.5 * math.pi, log_x=-300.0, tau=1.0)
+@example(lam=1.0, log_x=300.0, tau=1.0)
+def test_inverse_n_is_finite_and_bounded_at_extreme_x(lam, log_x, tau):
+    """0 < 1/N <= tau far beyond the supported x range, also where
+    (1/x)^2 would overflow."""
+    val = inverse_n(lam, ModelParams(tau=tau, delta_m=10.0**log_x / tau))
+    assert math.isfinite(val)
+    assert 0.0 < val <= tau
 
 
 @given(lam=lams, log_x=st.floats(min_value=-2.0, max_value=3.0))
