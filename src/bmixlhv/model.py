@@ -143,7 +143,8 @@ def inverse_n(lam, params: ModelParams):
 
     Returns a float for a scalar ``lam`` and an array for an array.  The
     integrand is positive and capped by the bare exponential, hence
-    0 < inverse_n < tau.
+    0 < inverse_n < tau; below x of about 1e-8 the quotient can round one
+    ulp above tau, so it is capped there.
     """
     lam = np.asarray(lam, dtype=float)
     a = 1.0 / params.x
@@ -154,7 +155,7 @@ def inverse_n(lam, params: ModelParams):
     head = np.abs(decay * (a * np.cos(lam - s0) + np.sin(lam - s0))
                   - (a * np.cos(lam) + np.sin(lam)))
     tail = decay * (1.0 + math.exp(-a * math.pi)) / -math.expm1(-a * math.pi)
-    val = params.tau * (head + tail) / (params.x + a)
+    val = np.minimum(params.tau * (head + tail) / (params.x + a), params.tau)
     return float(val) if val.ndim == 0 else val
 
 

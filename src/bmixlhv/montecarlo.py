@@ -26,9 +26,11 @@ where u_b lies between them, about 0.6 % of proposals.  4 rho is
 1-Lipschitz in lam, so the mean of a bin's edge values +- half its width
 (and a rounding margin) bounds it: every decision is the exact test's, and
 no byte changes.
-Both rejection loops run in :func:`_first_accepted`, which draws several
-consecutive proposals per lane once few lanes are pending, so the few long
-t2 chains near lam = pi/2 at small x cost a few rounds, not hundreds.
+Both rejection loops run in :func:`_first_accepted`.  While many lanes are
+pending, a round draws one proposal per lane and keeps the accepted ones by
+integer index, with no proposal axis to reduce over.  Once few are pending
+it draws several consecutive proposals per lane, so the few long t2 chains
+near lam = pi/2 at small x cost a few rounds, not hundreds.
 """
 
 from __future__ import annotations
@@ -263,19 +265,26 @@ def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test
     floor = _draw_floor(idx.size)
     while pending.size and used < config.max_rejection_iters:
         k = min(-(-floor // pending.size), config.max_rejection_iters - used)
-        # row j holds every pending lane's (used + j)-th proposal
-        lanes = np.tile(pending, k)
-        steps = np.arange(used, used + k, dtype=np.uint64)[:, None]
-        u_a, u_b = uniform_pair_block(config.seed, idx[lanes], (cursor[pending] + steps).ravel())
-        accept, value = test(lanes, u_a, u_b)
-        seen = np.logical_or.accumulate(accept.reshape(k, -1), axis=0)
-        hit = seen[-1]
-        # a lane's rows before its first acceptance are the unseen ones
-        first = (k - seen.sum(axis=0))[hit]
-        done = pending[hit]
-        values[done] = value.reshape(k, -1)[first, np.flatnonzero(hit)]
+        if k == 1:  # one proposal per lane: nothing to reduce over
+            u_a, u_b = uniform_pair_block(config.seed, idx[pending], cursor[pending] + np.uint64(used))
+            hit, value = test(pending, u_a, u_b)
+            first = 0
+        else:
+            # row j holds every pending lane's (used + j)-th proposal
+            lanes = np.tile(pending, k)
+            steps = np.arange(used, used + k, dtype=np.uint64)[:, None]
+            u_a, u_b = uniform_pair_block(config.seed, idx[lanes], (cursor[pending] + steps).ravel())
+            accept, value = test(lanes, u_a, u_b)
+            seen = np.logical_or.accumulate(accept.reshape(k, -1), axis=0)
+            hit = seen[-1]
+            # a lane's rows before its first acceptance are the unseen ones
+            first = (k - seen.sum(axis=0))[hit]
+        # integer gathers and compress: a boolean index costs several times more
+        at = np.flatnonzero(hit)
+        done = pending[at]
+        values[done] = value.reshape(k, -1)[first, at]
         spent[done] = used + first + 1
-        pending = pending[~hit]
+        pending = np.compress(~hit, pending)
         used += k
     spent[pending] = used
     cursor += spent

@@ -63,6 +63,10 @@ S_SAMPLES = 64
 LAMBDA_SAMPLES = 64
 # a quadrature whose 20- and 10-point rules differ by more than this fails
 QUAD_GUARD = 1e-9
+# a quadrature needing more Gauss nodes than this fails before allocating
+# them (about 200 MiB of temporaries); the largest at x = 1000 takes 0.4 M,
+# and x = 1e-4 would take 7.5 M
+QUAD_MAX_NODES = 2**22
 
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
@@ -130,12 +134,18 @@ def quad(integrand, edges, max_width: float, label: str):
     (shape ``edges.shape[:-1] + (nodes,)``) and must broadcast over it.  The
     summed |20-point - 10-point| difference is the error estimate; above
     :data:`QUAD_GUARD` it raises :class:`QuadratureError` naming ``label``,
-    so a kink inside a part is refused rather than integrated badly.
+    so a kink inside a part is refused rather than integrated badly; so it
+    does, before allocating, when the rule needs more than
+    :data:`QUAD_MAX_NODES` nodes.
     """
     edges = np.asarray(edges, dtype=float)
     widths = np.diff(edges, axis=-1)
+    width, nodes = float(np.max(widths)), widths.size * _GAUSS_20[0].size
+    if width * nodes > QUAD_MAX_NODES * max_width:
+        raise QuadratureError(f"{label}: more than {QUAD_MAX_NODES} quadrature nodes "
+                              f"needed for parts at most {max_width!r} wide")
     # the slack keeps a piece one rounding error wider than max_width whole
-    n_parts = max(1, math.ceil(float(np.max(widths)) / max_width - 1e-9))
+    n_parts = max(1, math.ceil(width / max_width - 1e-9))
     half = (widths / (2 * n_parts))[..., None]
     mids = edges[..., :-1, None] + half * (2 * np.arange(n_parts) + 1)
 

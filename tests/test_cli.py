@@ -343,6 +343,21 @@ def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
     assert len(read_events(out / "events.csv")) == 1000
 
 
+@pytest.mark.parametrize("x", [1e-10, 1e-20, 1e-200])
+def test_verify_and_scan_refuse_a_quadrature_too_fine_to_afford(tmp_path, capsys, x):
+    # the phase integrals take parts x/4 wide, so quad refuses before it
+    # allocates 1e12 nodes and more: one stderr line, exit 1, no report
+    assert run("verify", "--x", x, "--out", tmp_path / "verify") == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: rho marginal normalization: more than ")
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "verify").exists()
+    assert run("scan", x, "--events", 200, "--seed", 1, "--out", tmp_path / "scan") == 1
+    (point,) = yaml.safe_load((tmp_path / "scan" / "scan_summary.yaml").read_text())["points"]
+    assert point["status"].startswith("error: rho marginal normalization: more than ")
+    assert point["verify_passed"] is False and point["fitted_delta_m"] is None
+
+
 def test_analyze_rejects_mismatched_model(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "--x", 0.776, "--events", 20000, "--out", sim) == 0

@@ -189,6 +189,7 @@ def test_inverse_n_bounds(lam, dm):
 @example(lam=0.0, log_x=-200.0, tau=1.0)
 @example(lam=0.5 * math.pi, log_x=-300.0, tau=1.0)
 @example(lam=1.0, log_x=300.0, tau=1.0)
+@example(lam=0.0, log_x=-269.5566349336715, tau=1.5)  # tau * a / a rounded up
 def test_inverse_n_is_finite_and_bounded_at_extreme_x(lam, log_x, tau):
     """0 < 1/N <= tau far beyond the supported x range, also where
     (1/x)^2 would overflow."""

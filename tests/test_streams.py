@@ -8,6 +8,7 @@ from bmixlhv.streams import philox4x32, uniform_pair_block
 from oracles import EventStream, philox4x32_reference
 
 _MASK32 = 0xFFFFFFFF
+_TOP = 2**64 - 1
 
 
 def _kernel_words(key, counter):
@@ -43,6 +44,10 @@ def test_known_answer_vectors(key, counter, words):
         # an event index of 2^32 and more, and a cursor of 2^32
         ((20260814, 0), (17, 0, 999_983, 1)),
         ((_MASK32, 2**31), (0, 1, _MASK32 - 1, _MASK32)),
+        # a seed, cursor or event index of 2^64 - 1 on its own
+        ((_MASK32, _MASK32), (0, 0, 0, 0)),
+        ((0, 0), (_MASK32, _MASK32, 0, 0)),
+        ((0, 0), (0, 0, _MASK32, _MASK32)),
     ],
 )
 def test_block_matches_the_reference(key, counter):
@@ -84,6 +89,24 @@ def test_uniforms_are_the_top_53_bits_of_the_words():
     assert np.array_equal(u_b * 2.0**53, (w23 >> np.uint64(11)).astype(np.float64))
 
 
+def _reference_words(seed, index, cursor):
+    key = (seed & _MASK32, seed >> 32)
+    return philox4x32_reference(key, (cursor & _MASK32, cursor >> 32, index & _MASK32, index >> 32))
+
+
+@pytest.mark.parametrize("index", [np.uint64(_TOP), np.array([_TOP], dtype=np.uint64)])
+def test_a_2d_cursor_array_with_one_event_index(index):
+    rng = np.random.default_rng(6)
+    cursor = rng.integers(0, 2**64, size=(3, 5), dtype=np.uint64)
+    cursor[0, 0] = _TOP
+    w01, w23 = philox4x32(_TOP, index, cursor)
+    assert w01.shape == w23.shape == (3, 5)
+    for (j, m), c in np.ndenumerate(cursor):
+        got = (int(w01[j, m]) >> 32, int(w01[j, m]) & _MASK32,
+               int(w23[j, m]) >> 32, int(w23[j, m]) & _MASK32)
+        assert got == _reference_words(_TOP, _TOP, int(c)), (j, m)
+
+
 def test_kernel_leaves_its_inputs_unchanged():
     rng = np.random.default_rng(5)
     index, cursor = rng.integers(0, 2**64, size=(2, 100), dtype=np.uint64)
@@ -91,6 +114,19 @@ def test_kernel_leaves_its_inputs_unchanged():
     philox4x32(3, index, cursor)
     uniform_pair_block(9, index, cursor)
     assert np.array_equal(index, index_before) and np.array_equal(cursor, cursor_before)
+
+
+@pytest.mark.parametrize("shape", [(100,), (4, 25)])
+def test_kernel_returns_fresh_arrays(shape):
+    rng = np.random.default_rng(5)
+    index, cursor = rng.integers(0, 2**64, size=(2, *shape), dtype=np.uint64)
+    before = index.copy(), cursor.copy()
+    for lane_index in (index, index.reshape(-1)[:1]):
+        w01, w23 = philox4x32(3, lane_index, cursor)
+        arrays = (w01, w23, index, cursor)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+        w01[...] = w23[...] = 0
+    assert np.array_equal(index, before[0]) and np.array_equal(cursor, before[1])
 
 
 def test_uniform_pair_block_range_and_determinism():

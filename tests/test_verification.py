@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmixlhv.model import Flavour, ModelParams, inverse_n, p_density, q_shape
+from bmixlhv import verification
 from bmixlhv.quantum import i_kl, joint_density
 from bmixlhv.verification import (
     CONDITIONAL_TOLERANCE,
@@ -86,6 +87,25 @@ def test_quad_refuses_a_kink_inside_a_part():
         quad(kinked, [0.0, 1.0], 1.0, "kinked test")
     # the same function with its kink as an edge is two exact linear pieces
     assert quad(kinked, [0.0, 0.3, 1.0], 1.0, "kinked test") == pytest.approx(0.29, abs=1e-15)
+
+
+def test_quad_refuses_a_rule_above_the_node_limit_before_evaluating(monkeypatch):
+    def linear(t):
+        return t
+
+    def never(t):
+        raise AssertionError("integrand evaluated")
+
+    # two pieces of width 1 in parts of 0.1: 2 x 10 x 20 nodes
+    monkeypatch.setattr(verification, "QUAD_MAX_NODES", 400)
+    assert quad(linear, [0.0, 1.0, 2.0], 0.1, "at the limit") == pytest.approx(2.0, abs=1e-14)
+    with pytest.raises(QuadratureError, match="past the limit: more than 400 quadrature nodes"):
+        quad(never, [0.0, 1.0, 2.0], 0.099, "past the limit")
+    monkeypatch.undo()
+    # parts of zero width, and widths whose part count overflows a float
+    for max_width in (1e-300, 5e-324, 0.0):
+        with pytest.raises(QuadratureError, match="quadrature nodes"):
+            quad(never, [0.0, math.pi], max_width, "tiny parts")
 
 
 # ---------------------------------------------------------------------------
