@@ -10,6 +10,13 @@ both specifications at once is a usage error.
 Every output file starts with a ``# fingerprint=`` comment so results can
 be traced to their exact configuration; outputs contain no timestamps and
 are byte-identical across reruns.
+
+``simulate`` writes the events twice: ``events.csv``, one text row per
+event, and ``events.bin``, the same header with a body digest over binary
+columns, which the manifest's ``event_file`` names.  ``analyze`` reads
+either; the binary file needs no text parse.  An output directory that
+cannot be created, such as one that names a regular file, is a usage error
+(exit 2); ``simulate`` creates it before it draws an event.
 """
 
 from __future__ import annotations
@@ -113,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="randomize which side receives which decay law")
 
     def add_binning(sp):
-        sp.add_argument("--bins", type=int, help="number of lag bins (default: 50)")
+        sp.add_argument("--bins", type=int,
+                        help=f"number of lag bins (default: 50, at most {analysis.MAX_BINS})")
         sp.add_argument("--dt-max", type=float, dest="dt_max",
                         help=f"histogram upper edge (default: {DEFAULT_DT_MAX_LIFETIMES:g} tau)")
 
@@ -127,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="bin an event file and fit the asymmetry")
     add_common(sp)
     add_binning(sp)
-    sp.add_argument("event_file", type=Path, help="event file from `simulate`")
+    sp.add_argument("event_file", type=Path,
+                    help="event file from `simulate`: events.bin or events.csv")
 
     sp = sub.add_parser("scan", help="verify + simulate + analyze per mixing value")
     add_common(sp, model=False)
@@ -244,8 +253,8 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"events must be at least 1, got {n_events}")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must fit in 64 bits, got {seed}")
-    if bins < 1:
-        raise ConfigError(f"bins must be at least 1, got {bins}")
+    if not 1 <= bins <= analysis.MAX_BINS:
+        raise ConfigError(f"bins must be between 1 and {analysis.MAX_BINS}, got {bins}")
     if dt_max is not None and not (math.isfinite(dt_max) and dt_max > 0.0):
         raise ConfigError(f"dt-max must be finite and positive, got {dt_max}")
     if threads < 1:
@@ -269,7 +278,13 @@ def resolve_config(args) -> RunConfig:
 # emission helpers
 
 def _ensure_out(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """The output directory, created if need be; raises :class:`ConfigError`
+    when it cannot be, as when it names a regular file."""
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: "
+                          f"{exc.strerror or exc}") from None
     return cfg.out_dir
 
 
@@ -344,11 +359,13 @@ def _simulate_batch(cfg: RunConfig) -> EventBatch:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    batch = _simulate_batch(cfg)
     out = _ensure_out(cfg)
-    event_path = out / "events.csv"
+    batch = _simulate_batch(cfg)
+    # the hand-off that analyze reads without parsing text
+    event_path = out / "events.bin"
+    montecarlo.write_event_columns(batch, event_path)
     # path by keyword: perfbench's tracer reads it from there or the third argument
-    montecarlo.write_events(batch, path=event_path, workers=cfg.threads)
+    montecarlo.write_events(batch, path=out / "events.csv", workers=cfg.threads)
 
     manifest = {
         "tau": cfg.params.tau,
@@ -562,6 +579,9 @@ def main(argv=None) -> int:
     except (verification.QuadratureError, montecarlo.RejectionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -67,6 +67,7 @@ __all__ = [
     "generate",
     "generate_events",
     "read_events",
+    "write_event_columns",
     "write_events",
 ]
 
@@ -85,6 +86,10 @@ _SQUEEZE_MARGIN = 1e-9
 GENERATOR_VERSION = 2
 
 EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped")
+
+# layout of the binary event body (_BODY_DTYPES); in the header of every
+# binary event file, and read_events refuses any other
+BODY_VERSION = 1
 
 # rows formatted per block and write; bounds the text each process holds,
 # a few MB.  No output byte depends on it.
@@ -114,6 +119,11 @@ _COLUMN_DTYPES = {
     "flavour2": np.int8,
     "swapped": np.bool_,
 }
+
+# the columns of the binary body, little-endian, in order; the swapped flags
+# are one byte of 0 or 1, and read_events keeps them uint8 until they are checked
+_BODY_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
+                for name, dtype in {**_COLUMN_DTYPES, "swapped": np.uint8}.items()}
 
 # label text by flavour code; code 0 is unused
 _LABEL_BY_CODE = np.array([None, Flavour.B0.label, Flavour.B0BAR.label], dtype=object)
@@ -493,14 +503,45 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     # one list of block slices per column, in _format_rows' argument order
     columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for name in _COLUMN_DTYPES]
-    header = comment_header(batch.config_fingerprint, **_config_fields(batch.config),
-                            **batch.rng_stats.as_dict(), columns=",".join(EVENT_COLUMNS))
     # _fork_map submits every block, forking the workers, before the file is
     # opened, so no worker inherits an unflushed buffer of it
     with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
-        fh.write("".join(line + "\n" for line in header))
+        fh.write(_header_text(batch))
         for text in texts:
             fh.write(text)
+
+
+def _header_text(batch: EventBatch, **fields) -> str:
+    """The comment header of an event file of ``batch``: its fingerprint,
+    configuration, acceptance stats and column list, then ``fields``."""
+    header = comment_header(batch.config_fingerprint, **_config_fields(batch.config),
+                            **batch.rng_stats.as_dict(), columns=",".join(EVENT_COLUMNS),
+                            **fields)
+    return "".join(line + "\n" for line in header)
+
+
+def write_event_columns(batch: EventBatch, path) -> None:
+    """Write the binary event file: the header of :func:`write_events` with
+    a ``body_version=`` (:data:`BODY_VERSION`) and a ``body_sha256=`` line
+    more, then each column in turn as its :data:`_BODY_DTYPES` dtype.
+
+    The columns are hashed and written one by one, with no copy of the body.
+    Raises ``ValueError``, and writes nothing, for a batch that
+    :func:`_check_rows` refuses; the file appears under ``path`` only once
+    it is complete.
+    """
+    _check_rows({name: getattr(batch, name) for name in _COLUMN_DTYPES},
+                batch.config.n_events, ValueError)
+    columns = [np.ascontiguousarray(getattr(batch, name), dtype)
+               for name, dtype in _BODY_DTYPES.items()]
+    digest = hashlib.sha256()
+    for column in columns:
+        digest.update(column)
+    header = _header_text(batch, body_version=BODY_VERSION, body_sha256=digest.hexdigest())
+    with open_atomic(path, binary=True) as fh:
+        fh.write(header.encode("utf-8"))
+        for column in columns:
+            fh.write(column)
 
 
 def _check_rows(columns: dict, n: int, error: type[Exception]) -> None:
@@ -512,9 +553,15 @@ def _check_rows(columns: dict, n: int, error: type[Exception]) -> None:
     if any(column.shape != (n,) for column in columns.values()):
         raise error(f"every column must hold the n_events={n} rows")
     lam, t1, t2 = columns["lam"], columns["t1"], columns["t2"]
+    # block by block: an n-long arange would raise every writer's and the
+    # reader's peak memory by 8 bytes per event
+    misplaced = np.empty(n, dtype=bool)
+    for start in range(0, n, GENERATE_BLOCK_EVENTS):
+        stop = min(start + GENERATE_BLOCK_EVENTS, n)
+        misplaced[start:stop] = columns["index"][start:stop] != np.arange(start, stop,
+                                                                          dtype=np.uint64)
     rules = [
-        (columns["index"] != np.arange(n, dtype=np.uint64),
-         "is out of order: its index is not its position"),
+        (misplaced, "is out of order: its index is not its position"),
         (columns["swapped"] > 1, "has a swapped flag other than 0 or 1"),
         # NaN fails every comparison, so this rule also rejects it
         (~((lam >= 0.0) & (lam < TWO_PI)) | ~((t1 >= 0.0) & (t1 < np.inf))
@@ -567,12 +614,92 @@ def _parse_block(path, start: int, stop: int) -> list:
             rows["t2"], _flavour_codes(rows["flavour2"]), rows["swapped"]]
 
 
-def read_events(path, workers: int = 1) -> EventBatch:
-    """Parse an event file into the batch it was written from; validates the
-    header against its own fingerprint and proposal counts, and the rows
-    against the header.
+def _read_columns(path, start: int, end: int, header: dict, n: int) -> dict:
+    """The columns of the binary body in bytes [start, end) of the event
+    file ``path``, as :func:`write_event_columns` lays them out.
 
-    The body is parsed by :func:`_parse_block` in blocks of about
+    Checks the body's version and its length against ``n`` before it
+    allocates, then its sha256 against the header's ``body_sha256``.
+    """
+    version = header.get("body_version", "missing")
+    if version != str(BODY_VERSION):
+        raise EventFileError(f"event file body version is {version}; "
+                             f"this version reads body version {BODY_VERSION} only")
+    expected = n * sum(dtype.itemsize for dtype in _BODY_DTYPES.values())
+    if end - start != expected:
+        raise EventFileError(f"event file body holds {end - start} bytes, its header says "
+                             f"n_events={n}, which take {expected}")
+    body = bytearray(expected)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        complete = fh.readinto(body) == expected
+    if not complete or hashlib.sha256(body).hexdigest() != header["body_sha256"]:
+        raise EventFileError("event file body does not match its body_sha256 digest")
+    columns, offset = {}, 0
+    for name, dtype in _BODY_DTYPES.items():
+        columns[name] = np.frombuffer(body, dtype, n, offset)
+        offset += n * dtype.itemsize
+    return columns
+
+
+def _parse_rows(path, start: int, end: int, n: int, workers: int) -> dict:
+    """The columns of the delimited body in bytes [start, end) of the event
+    file ``path``, parsed by :func:`_parse_block` on ``workers`` as
+    :func:`read_events` describes; raises :class:`EventFileError` unless
+    they hold exactly ``n`` rows that parse."""
+    with open(path, "rb") as fh:
+        cuts = _block_cuts(fh, start, end)
+    # a row that parses holds 11 bytes at least ("0,0,0,,0,,0") and all but
+    # the last a newline, so the columns never outgrow the body, whatever
+    # n_events says
+    size = min(n, (end - start + 1) // 12)
+    columns = {name: np.empty(size, dtype=dtype) for name, dtype in _BODY_DTYPES.items()}
+    filled = 0  # rows parsed so far
+    try:
+        with _fork_map(_parse_block, workers, [path] * (len(cuts) - 1),
+                       cuts[:-1], cuts[1:]) as parts:
+            for part in parts:
+                count = part[0].size
+                filled += count
+                if filled > size:  # then size is n: the file is overlong
+                    break
+                for column, values in zip(columns.values(), part):
+                    column[filled - count:filled] = values
+    except ValueError:
+        # a row does not parse, and leaving the pool cancelled the other
+        # blocks.  One streaming parse of the body names the row in
+        # loadtxt's words, counted from the file's first row.  loadtxt
+        # allocates max_rows rows up front; if size + 1 rows parse (so size
+        # is n), the file is overlong, whatever follows
+        del columns
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            # a blank line does not count towards max_rows, nor is it a row
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            fh.seek(start)
+            try:
+                np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                           max_rows=size + 1)
+            except ValueError as exc:
+                raise EventFileError(f"malformed event row: {exc}") from None
+        filled = n + 1
+
+    if filled != n:
+        found = f"more than {n}" if filled > n else filled
+        raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
+    return columns
+
+
+def read_events(path, workers: int = 1) -> EventBatch:
+    """Read an event file, delimited or binary, into the batch it was written
+    from; validates the header against its own fingerprint and proposal
+    counts, and the rows against the header.
+
+    The header ends at the first line that does not start with ``#``, or
+    just after a ``body_sha256`` line, whatever follows it.  With that line,
+    the body is binary (:func:`write_event_columns`): its version, length
+    and digest are checked by :func:`_read_columns` before any row rule.
+
+    Otherwise the rows are parsed by :func:`_parse_block` in blocks of about
     :data:`READ_BLOCK_BYTES`, each ending at a newline, by
     :func:`_fork_map`: with ``workers`` above 1 and more than one block, on
     ``min(workers, blocks)`` forked processes, which end before the call
@@ -601,10 +728,12 @@ def read_events(path, workers: int = 1) -> EventBatch:
                 except UnicodeDecodeError:
                     raise EventFileError("event file header is not UTF-8 text") from None
                 header[key] = value
+                if key == "body_sha256":
+                    break
             elif line.rstrip(b"\n"):
                 fh.seek(-len(line), os.SEEK_CUR)
                 break
-        cuts = _block_cuts(fh, fh.tell(), os.fstat(fh.fileno()).st_size)
+        body = (fh.tell(), os.fstat(fh.fileno()).st_size)
 
     try:
         fingerprint = header["fingerprint"]
@@ -632,44 +761,10 @@ def read_events(path, workers: int = 1) -> EventBatch:
         raise EventFileError("event file acceptance rates do not match its proposal counts")
 
     n = config.n_events
-    # a row that parses holds 11 bytes at least ("0,0,0,,0,,0") and all but
-    # the last a newline, so the columns never outgrow the body, whatever
-    # n_events says.  The swapped flags stay uint8 until they are checked
-    size = min(n, (cuts[-1] - cuts[0] + 1) // 12)
-    columns = {name: np.empty(size, dtype=dtype)
-               for name, dtype in {**_COLUMN_DTYPES, "swapped": np.uint8}.items()}
-    filled = 0  # rows parsed so far
-    try:
-        with _fork_map(_parse_block, workers, [path] * (len(cuts) - 1),
-                       cuts[:-1], cuts[1:]) as parts:
-            for part in parts:
-                count = part[0].size
-                filled += count
-                if filled > size:  # then size is n: the file is overlong
-                    break
-                for column, values in zip(columns.values(), part):
-                    column[filled - count:filled] = values
-    except ValueError:
-        # a row does not parse, and leaving the pool cancelled the other
-        # blocks.  One streaming parse of the body names the row in
-        # loadtxt's words, counted from the file's first row.  loadtxt
-        # allocates max_rows rows up front; if size + 1 rows parse (so size
-        # is n), the file is overlong, whatever follows
-        del columns
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            # a blank line does not count towards max_rows, nor is it a row
-            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-            fh.seek(cuts[0])
-            try:
-                np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                           max_rows=size + 1)
-            except ValueError as exc:
-                raise EventFileError(f"malformed event row: {exc}") from None
-        filled = n + 1
-
-    if filled != n:
-        found = f"more than {n}" if filled > n else filled
-        raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
+    if "body_sha256" in header:
+        columns = _read_columns(path, *body, header, n)
+    else:
+        columns = _parse_rows(path, *body, n, workers)
     _check_rows(columns, n, EventFileError)
     columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(**columns, config=config, rng_stats=stats)

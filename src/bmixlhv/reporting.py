@@ -98,9 +98,9 @@ def csv_columns(headers, rows, fingerprint: str, **header_fields) -> str:
 
 
 @contextlib.contextmanager
-def open_atomic(path):
-    """Text handle onto a temporary file beside ``path`` that replaces
-    ``path`` only once the block completes.
+def open_atomic(path, binary: bool = False):
+    """Text handle (a byte handle if ``binary``) onto a temporary file beside
+    ``path`` that replaces ``path`` only once the block completes.
 
     A writer that fails or is interrupted never leaves a partial artifact
     under the final name.  The data is not fsynced: this guards against an
@@ -108,7 +108,7 @@ def open_atomic(path):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmixlhv
-from bmixlhv import cli, montecarlo
+from bmixlhv import analysis, cli, montecarlo
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import config_fingerprint, read_events
 
@@ -36,7 +37,7 @@ def test_simulate_writes_events_and_manifest(tmp_path, capsys):
     assert run("simulate", "--x", 0.776, "--events", 400, "--seed", 9, "--out", out) == 0
     # no manifest.csv: a key/value tree is not columnar; no temporary files left
     assert sorted(p.name for p in out.iterdir()) == [
-        "events.csv", "manifest.txt", "manifest.yaml"]
+        "events.bin", "events.csv", "manifest.txt", "manifest.yaml"]
     assert "simulated 400 events" in capsys.readouterr().out
     batch = read_events(out / "events.csv")
     config = batch.config
@@ -44,7 +45,7 @@ def test_simulate_writes_events_and_manifest(tmp_path, capsys):
     assert config.seed == 9
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
     assert manifest["n_events"] == 400
-    assert manifest["event_file"] == "events.csv"
+    assert manifest["event_file"] == "events.bin"
     assert 0.55 < manifest["lambda_acceptance_rate"] < 0.72
 
 
@@ -194,6 +195,33 @@ def test_thread_count_does_not_change_output_bytes(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("symmetrized", [(), ("--symmetrized",)])
+def test_hand_off_bytes_are_reproducible_across_runs_and_threads(tmp_path, symmetrized):
+    args = ("simulate", "--x", 0.776, "--events", 3001, "--seed", 13, *symmetrized)
+    assert run(*args, "--threads", 1, "--out", tmp_path / "t1") == 0
+    assert run(*args, "--threads", 4, "--out", tmp_path / "t4") == 0
+    assert run(*args, "--threads", 4, "--out", tmp_path / "again") == 0
+    hand_off = (tmp_path / "t1" / "events.bin").read_bytes()
+    assert (tmp_path / "t4" / "events.bin").read_bytes() == hand_off
+    assert (tmp_path / "again" / "events.bin").read_bytes() == hand_off
+    assert read_events(tmp_path / "t1" / "events.bin") == read_events(
+        tmp_path / "t1" / "events.csv")
+
+
+def test_analyze_of_the_hand_off_matches_the_delimited_file(tmp_path):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--tau", 2.0, "--delta-m", 0.388, "--events", 20000, "--seed", 4,
+               "--out", sim) == 0
+    manifest = yaml.safe_load((sim / "manifest.yaml").read_text())
+    assert run("analyze", sim / manifest["event_file"], "--out", tmp_path / "bin") == 0
+    assert run("analyze", sim / "events.csv", "--out", tmp_path / "csv") == 0
+    names = sorted(p.name for p in (tmp_path / "csv").iterdir())
+    assert len(names) == 5
+    assert sorted(p.name for p in (tmp_path / "bin").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "bin" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+
 def test_threads_env_var_is_honoured(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
     args = ("simulate", "--x", 0.776, "--events", 1000, "--seed", 14)
@@ -228,8 +256,8 @@ def test_every_artifact_opens_with_its_fingerprint(tmp_path):
                  for p in sorted((tmp_path / d).glob("*")) if p.is_file()]
     assert len(artifacts) >= 8
     for path in artifacts:
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("# fingerprint="), path
+        first = path.read_bytes().splitlines()[0]
+        assert first.startswith(b"# fingerprint="), path
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +361,41 @@ def test_usage_errors_exit_2(tmp_path):
 def test_non_finite_values_are_refused_as_such(tmp_path, capsys, argv, message):
     assert run(*argv, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "analyze", "scan"])
+@pytest.mark.parametrize("below", [False, True])
+def test_an_out_that_names_a_regular_file_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                  below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    argv = {
+        "verify": ["verify"],
+        "simulate": ["simulate", "--events", 300],
+        "analyze": ["analyze", tmp_path / "sim" / "events.bin"],
+        "scan": ["scan", 0.776, "--events", 600],
+    }[command]
+    if command == "analyze":  # a sample the fit accepts, so that analyze gets to write
+        assert run("simulate", "--events", 20000, "--seed", 4, "--out", tmp_path / "sim") == 0
+    if command == "simulate":  # the directory is checked before any event is drawn
+        monkeypatch.setattr(montecarlo, "generate", None)
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "events.bin"], ["scan", 0.776]])
+def test_bins_above_the_limit_exit_2(capsys, command):
+    assert run(*command, "--bins", analysis.MAX_BINS + 1) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: bins must be between 1 and {analysis.MAX_BINS}, "
+                   f"got {analysis.MAX_BINS + 1}\n")
+    args = cli.build_parser().parse_args([*map(str, command), "--bins", str(analysis.MAX_BINS)])
+    assert cli.resolve_config(args).bins == analysis.MAX_BINS
 
 
 def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
@@ -631,6 +694,70 @@ def test_analyze_survives_random_byte_edits(tmp_path, capsys, small_event_file, 
     path.write_bytes(bytes(data))
     assert run("analyze", path, "--out", tmp_path / "fit") in (0, 1, 2)
     capsys.readouterr()
+
+
+def test_analyze_refuses_a_broken_hand_off(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run("simulate", "--x", 0.776, "--events", 50, "--seed", 8, "--out", sim) == 0
+    data = (sim / "events.bin").read_bytes()
+    huge = dataclasses.replace(read_events(sim / "events.bin").config, n_events=10**12)
+    header_10e12 = data
+    for key, value in (("fingerprint", config_fingerprint(huge)), ("n_events", 10**12),
+                       ("lambda_proposals", 10**12), ("t2_proposals", 10**12),
+                       ("lambda_acceptance_rate", 1.0), ("t2_acceptance_rate", 1.0)):
+        header_10e12 = re.sub(rb"(?m)^# %s=.*$" % key.encode(), b"# %s=%s" % (
+            key.encode(), str(value).encode()), header_10e12, count=1)
+    cases = {
+        "flipped": (data[:-9] + bytes([data[-9] ^ 0x40]) + data[-8:],
+                    "event file body does not match its body_sha256 digest"),
+        "truncated": (data[:-1], "event file body holds 1749 bytes, its header says "
+                      "n_events=50, which take 1750"),
+        "extended": (data + b"\n", "event file body holds 1751 bytes, its header says "
+                     "n_events=50, which take 1750"),
+        "version": (data.replace(b"\n# body_version=1\n", b"\n# body_version=2\n"),
+                    "event file body version is 2; this version reads body version 1 only"),
+        "fingerprint": (data.replace(b"\n# seed=8\n", b"\n# seed=9\n"),
+                        "event file fingerprint does not match its header fields"),
+        "huge": (header_10e12, "event file body holds 1750 bytes, its header says "
+                 "n_events=1000000000000, which take 35000000000000"),
+    }
+    for name, (content, message) in cases.items():
+        assert content != data, name
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(content)
+        assert run("analyze", path, "--out", tmp_path / "fit") == 2, name
+        assert capsys.readouterr().err == f"error: {message}\n", name
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.fixture(scope="module")
+def small_hand_off(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_hand_off")
+    assert run("simulate", "--x", 0.776, "--events", 40, "--seed", 8, "--out", out) == 0
+    return (out / "events.bin").read_bytes(), read_events(out / "events.bin")
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_analyze_survives_random_byte_edits_of_the_hand_off(tmp_path, capsys, small_hand_off,
+                                                            edits):
+    original, batch = small_hand_off
+    data = bytearray(original)
+    for kind, where, value in edits:
+        at = int(where * len(data))
+        if kind == "flip":
+            data[at] ^= value or 1
+        elif kind == "insert":
+            data.insert(at, value)
+        else:
+            del data[at]
+    path = tmp_path / "edited.bin"
+    path.write_bytes(bytes(data))
+    code = run("analyze", path, "--out", tmp_path / "fit")
+    assert code in (0, 1, 2)
+    capsys.readouterr()
+    if code != 2:  # an edit the header parse forgives, such as "0.7760" for "0.776"
+        assert read_events(path) == batch
 
 
 def test_missing_subcommand_is_an_argparse_error():

@@ -29,6 +29,7 @@ from bmixlhv.montecarlo import (
     generate,
     generate_events,
     read_events,
+    write_event_columns,
     write_events,
 )
 from bmixlhv.streams import uniform_pair_block
@@ -367,6 +368,126 @@ def test_event_file_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_events(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of the binary event file for n=2000, seed=20260814, keyed by
+# (x, symmetrized): the header of events.csv with its body_version and
+# body_sha256 lines, then the columns.  It moves with the event bytes and
+# with BODY_VERSION, and only deliberately.
+GOLDEN_EVENT_COLUMNS_SHA256 = {
+    (0.776, False): "05798c0484c3ae0e9fd81298ca84603ade5e1135de53940855d165a6d0c967e4",
+    (0.776, True): "946b3cce74c6f22ca5428ad1f306d96f57d7b1b65ded85c27e3f01daa6c07705",
+    (5.0, False): "fe330dd93f51c11fcb9a006b9dd52dbc0c373ce347ef07ebb397276d467672f6",
+    (5.0, True): "4c0e3fae93780c25f2e5ba012252f223bb1b7de54661ccfe4c29e4955bb2e19d",
+    (0.01, False): "47599a0f7ff2bf3ce599016086a052418a946892fdc70cf8ca4b72ee4a94b57e",
+    (0.01, True): "56ba9f14bcb8f68aabb62f35c444d3d362072e4d12aea6e06528022883b565ed",
+    (1000.0, False): "2c897feca18cb868e893c0748d34f6ec5f46e59b3a65ff7e2dc8d078e9250953",
+    (1000.0, True): "de107b241140e35abb9cbcf33cb90970fd52f41765349bb890b3faec877d7f80",
+}
+
+
+@pytest.mark.parametrize("x, symmetrized", sorted(GOLDEN_EVENT_COLUMNS_SHA256))
+def test_event_columns_golden_digest(tmp_path, x, symmetrized):
+    cfg = _config(n=2000, seed=20260814, symmetrized=symmetrized, dm=x)
+    path = tmp_path / "events.bin"
+    write_event_columns(generate(cfg), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_EVENT_COLUMNS_SHA256[(x, symmetrized)]
+
+
+def _split_columns_file(data: bytes) -> tuple[bytes, bytes]:
+    """(header, body) of a binary event file: the header ends with the
+    newline of its body_sha256 line."""
+    end = data.index(b"\n", data.index(b"\n# body_sha256=") + 1) + 1
+    return data[:end], data[end:]
+
+
+def test_event_columns_layout(tmp_path):
+    batch = generate(_config(n=1001, seed=5, symmetrized=True))
+    write_events(batch, tmp_path / "events.csv")
+    write_event_columns(batch, tmp_path / "events.bin")
+    header, body = _split_columns_file((tmp_path / "events.bin").read_bytes())
+    csv_header = b"".join(line for line in (tmp_path / "events.csv").read_bytes()
+                          .splitlines(keepends=True) if line.startswith(b"#"))
+    digest = hashlib.sha256(body).hexdigest()
+    assert header == csv_header + f"# body_version=1\n# body_sha256={digest}\n".encode()
+    layout = ("<u8", "<f8", "<f8", "i1", "<f8", "i1", "u1")
+    assert body == b"".join(getattr(batch, name).astype(dtype).tobytes()
+                            for name, dtype in zip(EVENT_BATCH_COLUMNS, layout))
+    assert len(body) == 35 * 1001
+
+
+@pytest.mark.parametrize("n", [1, GENERATE_BLOCK_EVENTS + 1])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_event_columns_read_back_as_the_delimited_file(tmp_path, n, symmetrized):
+    cfg = _config(n=n, seed=31, symmetrized=symmetrized, tau=2.0, dm=0.388)
+    batch = generate(cfg, workers=2)
+    write_events(batch, tmp_path / "events.csv")
+    write_event_columns(batch, tmp_path / "events.bin")
+    loaded = read_events(tmp_path / "events.bin")
+    assert loaded == read_events(tmp_path / "events.csv", workers=2) == batch
+    assert loaded.swapped.dtype == np.bool_
+    # a rewrite of what was read is byte-identical
+    write_event_columns(loaded, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "events.bin").read_bytes()
+
+
+def test_event_columns_keep_the_row_rules_under_a_matching_digest(tmp_path):
+    path = tmp_path / "events.bin"
+    write_event_columns(generate(_config(n=20, seed=4)), path)
+    header, body = _split_columns_file(path.read_bytes())
+
+    def signed(body):
+        digest = re.sub(rb"body_sha256=\w+", b"body_sha256=" + hashlib.sha256(body)
+                        .hexdigest().encode(), header)
+        path.write_bytes(digest + body)
+
+    # a body that opens with "#" is body all the same: its first index is wrong
+    signed(b"#" + body[1:])
+    with pytest.raises(EventFileError, match="^row 0 is out of order"):
+        read_events(path)
+    lam = np.frombuffer(body, "<f8", 20, 8 * 20).copy()
+    lam[3] = np.nan
+    signed(body[:160] + lam.tobytes() + body[320:])
+    with pytest.raises(EventFileError, match="^row 3 has an impossible value"):
+        read_events(path)
+    # a flag byte of 2 is no bool
+    signed(body[:-1] + b"\x02")
+    with pytest.raises(EventFileError, match="^row 19 has a swapped flag other than 0 or 1"):
+        read_events(path)
+
+
+def test_row_order_is_checked_past_the_first_block(tmp_path):
+    batch = generate(_config(n=GENERATE_BLOCK_EVENTS + 2, seed=4))
+    index = batch.index.copy()
+    index[-2:] = index[-2:][::-1]
+    for write in (write_events, write_event_columns):
+        with pytest.raises(ValueError, match=f"^row {GENERATE_BLOCK_EVENTS} is out of order"):
+            write(dataclasses.replace(batch, index=index), tmp_path / "events")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_n_events_over_a_binary_body_allocates_little(tmp_path):
+    cfg = _config(n=3)
+    path = tmp_path / "events.bin"
+    write_event_columns(generate(cfg), path)
+    huge = dataclasses.replace(cfg, n_events=10**12)
+    data = path.read_bytes()
+    for key, value in (("fingerprint", config_fingerprint(huge)), ("n_events", 10**12),
+                       ("lambda_proposals", 10**12), ("t2_proposals", 10**12),
+                       ("lambda_acceptance_rate", 1.0), ("t2_acceptance_rate", 1.0)):
+        data = re.sub(rb"(?m)^# %s=.*$" % key.encode(), b"# %s=%s" % (
+            key.encode(), str(value).encode()), data, count=1)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventFileError, match=r"body holds 105 bytes, its header says "
+                           r"n_events=10{12}, which take 35000000000000$"):
+            read_events(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_rng_stats_rates_follow_the_counts(tmp_path):
