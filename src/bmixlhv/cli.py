@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="format",
                         help="comma-separated subset of: " + ",".join(reporting.FORMATS))
         sp.add_argument("--threads", type=int,
-                        help="workers for generation and event-file formatting and parsing")
+                        help="workers for generation and event-file formatting")
 
     def add_sim(sp):
         sp.add_argument("--events", type=int, help="number of events to generate")
@@ -259,6 +259,13 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"dt-max must be finite and positive, got {dt_max}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        memory = -1
+    if memory > 0 and n_events * montecarlo.EVENT_BYTES > memory:
+        raise ConfigError(f"events={n_events} take {n_events * montecarlo.EVENT_BYTES} bytes, "
+                          f"more than the {memory} bytes of this host's memory")
 
     return RunConfig(
         params=params,
@@ -359,6 +366,10 @@ def _simulate_batch(cfg: RunConfig) -> EventBatch:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    max_tau = sys.float_info.max / montecarlo.MAX_DECAY_LIFETIMES
+    if cfg.params.tau > max_tau:
+        raise ConfigError(f"tau must be at most {max_tau!r} to simulate, since decay times "
+                          f"reach {montecarlo.MAX_DECAY_LIFETIMES} tau; got {cfg.params.tau!r}")
     out = _ensure_out(cfg)
     batch = _simulate_batch(cfg)
     # the hand-off that analyze reads without parsing text
@@ -390,7 +401,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     try:
-        batch = montecarlo.read_events(event_file, workers=cfg.threads)
+        batch = montecarlo.read_events(event_file)
     except OSError as exc:
         print(f"error: cannot read event file {event_file}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -449,24 +460,19 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
 
         edges = binned.edges
         centers = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-        n_total = binned.n_total
         model_same, model_opp = quantum.rate_curve(internal, centers)
-        denom = 2.0 * n_total * widths * scale
+        denom = 2.0 * binned.n_total * np.diff(edges) * scale
         curve_headers = ("dt_center", "rate_same", "rate_same_err", "rate_opp",
                          "rate_opp_err", "model_same", "model_opp")
-        curve_rows = [
-            (
-                float(centers[j] * scale),
-                float(binned.counts_same[j] / denom[j]),
-                float(np.sqrt(binned.counts_same[j]) / denom[j]),
-                float(binned.counts_opposite[j] / denom[j]),
-                float(np.sqrt(binned.counts_opposite[j]) / denom[j]),
-                float(model_same[j] / scale),
-                float(model_opp[j] / scale),
-            )
-            for j in range(centers.size)
-        ]
+        curve_rows = zip(
+            (centers * scale).tolist(),
+            (binned.counts_same / denom).tolist(),
+            (np.sqrt(binned.counts_same) / denom).tolist(),
+            (binned.counts_opposite / denom).tolist(),
+            (np.sqrt(binned.counts_opposite) / denom).tolist(),
+            (model_same / scale).tolist(),
+            (model_opp / scale).tolist(),
+        )
         reporting.write_text(
             out / "analysis_curves.csv",
             reporting.csv_columns(curve_headers, curve_rows, fingerprint, **common_fields),

@@ -31,6 +31,9 @@ pending, a round draws one proposal per lane and keeps the accepted ones by
 integer index, with no proposal axis to reduce over.  Once few are pending
 it draws several consecutive proposals per lane, so the few long t2 chains
 near lam = pi/2 at small x cost a few rounds, not hundreds.
+
+Event files, text (:func:`write_events`) or binary
+(:func:`write_event_columns`), hold the seven columns of :data:`_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import hashlib
-import io
 import math
 import os
 import signal
@@ -85,20 +87,13 @@ _SQUEEZE_MARGIN = 1e-9
 # event-file header, and read_events refuses any other
 GENERATOR_VERSION = 2
 
-EVENT_COLUMNS = ("index", "lambda", "t1", "flavour1", "t2", "flavour2", "swapped")
-
-# layout of the binary event body (_BODY_DTYPES); in the header of every
-# binary event file, and read_events refuses any other
+# layout of the binary event body (_COLUMNS); in the header of every binary
+# event file, and read_events refuses any other
 BODY_VERSION = 1
 
 # rows formatted per block and write; bounds the text each process holds,
 # a few MB.  No output byte depends on it.
 WRITE_CHUNK_ROWS = 32_768
-
-# event-file body bytes parsed per block, each block extended to end at a
-# newline; bounds the text and rows each process holds, a few MB.  No
-# result or message depends on it.
-READ_BLOCK_BYTES = 2 << 20
 
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
@@ -109,29 +104,33 @@ GENERATE_BLOCK_EVENTS = 65_536
 # draws several proposals per round
 _MIN_DRAWS_PER_CALL = GENERATE_BLOCK_EVENTS // 8
 
-# dtype of each EventBatch column as generated
-_COLUMN_DTYPES = {
-    "index": np.uint64,
-    "lam": np.float64,
-    "t1": np.float64,
-    "flavour1": np.int8,
-    "t2": np.float64,
-    "flavour2": np.int8,
-    "swapped": np.bool_,
-}
+# bound on every decay time drawn, in lifetimes: -log1p(-u) at the largest
+# uniform, 1 - 2**-53, is 53 ln 2 = 36.7368...
+MAX_DECAY_LIFETIMES = 36.74
 
-# the columns of the binary body, little-endian, in order; the swapped flags
-# are one byte of 0 or 1, and read_events keeps them uint8 until they are checked
-_BODY_DTYPES = {name: np.dtype(dtype).newbyteorder("<")
-                for name, dtype in {**_COLUMN_DTYPES, "swapped": np.uint8}.items()}
+# the event columns in file order: the EventBatch field, its name on the
+# header's columns= line, and its dtype in the binary body.  The swapped
+# flags are one byte of 0 or 1, viewed as bool once filled or checked
+_COLUMNS = tuple((field, label, np.dtype(dtype)) for field, label, dtype in (
+    ("index", "index", "<u8"),
+    ("lam", "lambda", "<f8"),
+    ("t1", "t1", "<f8"),
+    ("flavour1", "flavour1", "i1"),
+    ("t2", "t2", "<f8"),
+    ("flavour2", "flavour2", "i1"),
+    ("swapped", "swapped", "u1"),
+))
+
+# bytes of one event in a generated batch and in the binary body: 35
+EVENT_BYTES = sum(dtype.itemsize for _, _, dtype in _COLUMNS)
 
 # label text by flavour code; code 0 is unused
 _LABEL_BY_CODE = np.array([None, Flavour.B0.label, Flavour.B0BAR.label], dtype=object)
 
-# one parsed event row.  The labels get one byte more than the longest
-# label, so a longer field, which loadtxt truncates, still fails the exact
-# label comparison
-_ROW_DTYPE = np.dtype(list(zip(EVENT_COLUMNS, ("u8", "f8", "f8", "S6", "f8", "S6", "u1"))))
+# one parsed event row, each flavour label one byte longer than the longest,
+# so a longer field, which loadtxt truncates, still fails the label check
+_ROW_DTYPE = np.dtype([(field, "S6" if field.startswith("flavour") else dtype)
+                       for field, _, dtype in _COLUMNS])
 
 
 class RejectionOverflowError(RuntimeError):
@@ -233,15 +232,17 @@ class EventBatch:
     def config_fingerprint(self) -> str:
         return config_fingerprint(self.config)
 
+    def columns(self) -> dict:
+        """The event columns by field name, in file order."""
+        return {field: getattr(self, field) for field, _, _ in _COLUMNS}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventBatch):
             return NotImplemented
         return (
             self.config == other.config
             and self.rng_stats == other.rng_stats
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMN_DTYPES
-            )
+            and all(map(np.array_equal, self.columns().values(), other.columns().values()))
         )
 
 
@@ -405,17 +406,18 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
         raise ValueError("workers must be at least 1")
     blocks = [(start, min(start + GENERATE_BLOCK_EVENTS, n))
               for start in range(0, n, GENERATE_BLOCK_EVENTS)]
-    columns = {name: np.empty(n, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
+    columns = {field: np.empty(n, dtype) for field, _, dtype in _COLUMNS}
 
     def fill(block):
         start, stop = block
         part = generate_events(config, start, stop)
-        for name, column in columns.items():
-            column[start:stop] = getattr(part, name)
+        for column, values in zip(columns.values(), part.columns().values()):
+            column[start:stop] = values
         return part.rng_stats
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         stats = list(pool.map(fill, blocks))
+    columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(
         **columns,
         config=config,
@@ -497,12 +499,11 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    _check_rows({name: getattr(batch, name) for name in _COLUMN_DTYPES},
-                batch.config.n_events, ValueError)
+    _check_rows(batch.columns(), batch.config.n_events, ValueError)
     starts = range(0, len(batch), WRITE_CHUNK_ROWS)
     # one list of block slices per column, in _format_rows' argument order
-    columns = [[getattr(batch, name)[start:start + WRITE_CHUNK_ROWS] for start in starts]
-               for name in _COLUMN_DTYPES]
+    columns = [[column[start:start + WRITE_CHUNK_ROWS] for start in starts]
+               for column in batch.columns().values()]
     # _fork_map submits every block, forking the workers, before the file is
     # opened, so no worker inherits an unflushed buffer of it
     with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
@@ -515,7 +516,8 @@ def _header_text(batch: EventBatch, **fields) -> str:
     """The comment header of an event file of ``batch``: its fingerprint,
     configuration, acceptance stats and column list, then ``fields``."""
     header = comment_header(batch.config_fingerprint, **_config_fields(batch.config),
-                            **batch.rng_stats.as_dict(), columns=",".join(EVENT_COLUMNS),
+                            **batch.rng_stats.as_dict(),
+                            columns=",".join(label for _, label, _ in _COLUMNS),
                             **fields)
     return "".join(line + "\n" for line in header)
 
@@ -523,17 +525,16 @@ def _header_text(batch: EventBatch, **fields) -> str:
 def write_event_columns(batch: EventBatch, path) -> None:
     """Write the binary event file: the header of :func:`write_events` with
     a ``body_version=`` (:data:`BODY_VERSION`) and a ``body_sha256=`` line
-    more, then each column in turn as its :data:`_BODY_DTYPES` dtype.
+    more, then each column in turn as its :data:`_COLUMNS` dtype.
 
     The columns are hashed and written one by one, with no copy of the body.
     Raises ``ValueError``, and writes nothing, for a batch that
     :func:`_check_rows` refuses; the file appears under ``path`` only once
     it is complete.
     """
-    _check_rows({name: getattr(batch, name) for name in _COLUMN_DTYPES},
-                batch.config.n_events, ValueError)
-    columns = [np.ascontiguousarray(getattr(batch, name), dtype)
-               for name, dtype in _BODY_DTYPES.items()]
+    _check_rows(batch.columns(), batch.config.n_events, ValueError)
+    columns = [np.ascontiguousarray(column, dtype)
+               for column, (_, _, dtype) in zip(batch.columns().values(), _COLUMNS)]
     digest = hashlib.sha256()
     for column in columns:
         digest.update(column)
@@ -585,35 +586,6 @@ def _flavour_codes(labels: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _block_cuts(fh, start: int, end: int) -> list[int]:
-    """Offsets that cut bytes [start, end) of ``fh`` into blocks of about
-    :data:`READ_BLOCK_BYTES`, each but the last ending just after a newline."""
-    cuts = [start]
-    for nominal in range(start + READ_BLOCK_BYTES, end, READ_BLOCK_BYTES):
-        if nominal > cuts[-1]:  # else a line longer than a block covers it
-            fh.seek(nominal - 1)
-            fh.readline()
-            cuts.append(fh.tell())
-    if cuts[-1] < end:
-        cuts.append(end)
-    return cuts
-
-
-def _parse_block(path, start: int, stop: int) -> list:
-    """The rows in bytes [start, stop) of the event file ``path`` as
-    EventBatch columns, with flavour codes (0 for an unknown label) and
-    swapped flags as parsed.  Raises loadtxt's ValueError."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(stop - start)
-    rows = np.empty(0, dtype=_ROW_DTYPE)
-    if data.strip(b"\n"):  # loadtxt warns of a block of blank lines
-        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                          ndmin=1)
-    return [rows["index"], rows["lambda"], rows["t1"], _flavour_codes(rows["flavour1"]),
-            rows["t2"], _flavour_codes(rows["flavour2"]), rows["swapped"]]
-
-
 def _read_columns(path, start: int, end: int, header: dict, n: int) -> dict:
     """The columns of the binary body in bytes [start, end) of the event
     file ``path``, as :func:`write_event_columns` lays them out.
@@ -625,7 +597,7 @@ def _read_columns(path, start: int, end: int, header: dict, n: int) -> dict:
     if version != str(BODY_VERSION):
         raise EventFileError(f"event file body version is {version}; "
                              f"this version reads body version {BODY_VERSION} only")
-    expected = n * sum(dtype.itemsize for dtype in _BODY_DTYPES.values())
+    expected = n * EVENT_BYTES
     if end - start != expected:
         raise EventFileError(f"event file body holds {end - start} bytes, its header says "
                              f"n_events={n}, which take {expected}")
@@ -636,60 +608,40 @@ def _read_columns(path, start: int, end: int, header: dict, n: int) -> dict:
     if not complete or hashlib.sha256(body).hexdigest() != header["body_sha256"]:
         raise EventFileError("event file body does not match its body_sha256 digest")
     columns, offset = {}, 0
-    for name, dtype in _BODY_DTYPES.items():
-        columns[name] = np.frombuffer(body, dtype, n, offset)
+    for field, _, dtype in _COLUMNS:
+        columns[field] = np.frombuffer(body, dtype, n, offset)
         offset += n * dtype.itemsize
     return columns
 
 
-def _parse_rows(path, start: int, end: int, n: int, workers: int) -> dict:
+def _parse_rows(path, start: int, end: int, n: int) -> dict:
     """The columns of the delimited body in bytes [start, end) of the event
-    file ``path``, parsed by :func:`_parse_block` on ``workers`` as
-    :func:`read_events` describes; raises :class:`EventFileError` unless
-    they hold exactly ``n`` rows that parse."""
-    with open(path, "rb") as fh:
-        cuts = _block_cuts(fh, start, end)
+    file ``path``, with flavour codes (0 for an unknown label) and swapped
+    flags as parsed, in one streaming ``numpy.loadtxt`` pass; raises
+    :class:`EventFileError` unless they hold exactly ``n`` rows that parse."""
     # a row that parses holds 11 bytes at least ("0,0,0,,0,,0") and all but
-    # the last a newline, so the columns never outgrow the body, whatever
-    # n_events says
+    # the last a newline, so no more fit in the body, whatever n_events says.
+    # loadtxt allocates max_rows rows up front and parses none past them: if
+    # size + 1 rows parse (so size is n), the file is overlong
     size = min(n, (end - start + 1) // 12)
-    columns = {name: np.empty(size, dtype=dtype) for name, dtype in _BODY_DTYPES.items()}
-    filled = 0  # rows parsed so far
-    try:
-        with _fork_map(_parse_block, workers, [path] * (len(cuts) - 1),
-                       cuts[:-1], cuts[1:]) as parts:
-            for part in parts:
-                count = part[0].size
-                filled += count
-                if filled > size:  # then size is n: the file is overlong
-                    break
-                for column, values in zip(columns.values(), part):
-                    column[filled - count:filled] = values
-    except ValueError:
-        # a row does not parse, and leaving the pool cancelled the other
-        # blocks.  One streaming parse of the body names the row in
-        # loadtxt's words, counted from the file's first row.  loadtxt
-        # allocates max_rows rows up front; if size + 1 rows parse (so size
-        # is n), the file is overlong, whatever follows
-        del columns
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            # a blank line does not count towards max_rows, nor is it a row
-            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-            fh.seek(start)
-            try:
-                np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                           max_rows=size + 1)
-            except ValueError as exc:
-                raise EventFileError(f"malformed event row: {exc}") from None
-        filled = n + 1
-
-    if filled != n:
-        found = f"more than {n}" if filled > n else filled
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # loadtxt warns of an empty body and of each blank line; neither is a row
+        warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data",
+                                UserWarning)
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                              max_rows=size + 1, ndmin=1)
+        except ValueError as exc:
+            raise EventFileError(f"malformed event row: {exc}") from None
+    if rows.size != n:
+        found = f"more than {n}" if rows.size > n else rows.size
         raise EventFileError(f"event file has {found} rows, its header says n_events={n}")
-    return columns
+    return {field: _flavour_codes(rows[field]) if field.startswith("flavour") else rows[field]
+            for field in _ROW_DTYPE.names}
 
 
-def read_events(path, workers: int = 1) -> EventBatch:
+def read_events(path) -> EventBatch:
     """Read an event file, delimited or binary, into the batch it was written
     from; validates the header against its own fingerprint and proposal
     counts, and the rows against the header.
@@ -698,13 +650,7 @@ def read_events(path, workers: int = 1) -> EventBatch:
     just after a ``body_sha256`` line, whatever follows it.  With that line,
     the body is binary (:func:`write_event_columns`): its version, length
     and digest are checked by :func:`_read_columns` before any row rule.
-
-    Otherwise the rows are parsed by :func:`_parse_block` in blocks of about
-    :data:`READ_BLOCK_BYTES`, each ending at a newline, by
-    :func:`_fork_map`: with ``workers`` above 1 and more than one block, on
-    ``min(workers, blocks)`` forked processes, which end before the call
-    returns.  The blocks fill preallocated columns in file order.  Neither
-    the batch nor any message depends on ``workers`` or on the block size.
+    Otherwise the rows are parsed in one pass by :func:`_parse_rows`.
 
     Raises :class:`EventFileError` unless the file holds exactly
     ``n_events`` well-formed rows that keep the row rules of
@@ -717,8 +663,6 @@ def read_events(path, workers: int = 1) -> EventBatch:
     words, which count a bad value from 0 and a wrong column count from 1;
     the checks here count from 0.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     header: dict[str, str] = {}
     with open(path, "rb") as fh:
         for line in fh:
@@ -764,7 +708,7 @@ def read_events(path, workers: int = 1) -> EventBatch:
     if "body_sha256" in header:
         columns = _read_columns(path, *body, header, n)
     else:
-        columns = _parse_rows(path, *body, n, workers)
+        columns = _parse_rows(path, *body, n)
     _check_rows(columns, n, EventFileError)
     columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(**columns, config=config, rng_stats=stats)

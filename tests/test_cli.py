@@ -398,6 +398,30 @@ def test_bins_above_the_limit_exit_2(capsys, command):
     assert cli.resolve_config(args).bins == analysis.MAX_BINS
 
 
+@pytest.mark.parametrize("command", ["simulate", "scan 0.776"])
+def test_more_events_than_host_memory_exit_2(tmp_path, capsys, command):
+    # 10^12 events take 35 TB: refused before anything is allocated
+    assert run(*command.split(), "--events", 10**12, "--out", tmp_path / "o") == 2
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"error: events=1000000000000 take 35000000000000 bytes, more than "
+                        r"the \d+ bytes of this host's memory\n", err)
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_simulate_refuses_a_tau_whose_decay_times_overflow(tmp_path, capsys):
+    # the longest decay time drawn is 53 ln 2 tau, which is inf at 1e308
+    out = tmp_path / "huge"
+    assert run("simulate", "--tau", 1e308, "--delta-m", 1e-308, "--events", 20,
+               "--out", out) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith("error: tau must be at most 4.89") and err.count("\n") == 1
+    assert stdout == "" and not out.exists()
+    out = tmp_path / "large"
+    assert run("simulate", "--tau", 4e306, "--delta-m", 0.776 / 4e306, "--events", 20,
+               "--out", out) == 0
+    assert read_events(out / "events.bin").config.params.tau == 4e306
+
+
 def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
     # 1/N must stay finite there, or no lambda proposal is ever accepted and
     # the rejection budget runs out
@@ -518,7 +542,7 @@ def _scipy(modules):
     return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
-# the event-file writer and reader import these only for worker processes
+# the event-file writer imports these only for worker processes
 _POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
 
 
@@ -535,7 +559,7 @@ def test_no_command_loads_scipy(tmp_path):
     verified = _loaded_modules(tmp_path, "verify", "--x", 2.0, "--out", tmp_path / "verify")
     assert _scipy(verified) == set()
     assert not verified & _POOL_MODULES
-    # the 3000-event file is one read block: it is parsed inline
+    # analyze parses the event file in its own process
     analyzed = _loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
                                "--threads", 2, "--out", tmp_path / "fit")
     assert _scipy(analyzed) == set()

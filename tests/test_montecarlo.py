@@ -18,7 +18,6 @@ from bmixlhv import model, montecarlo, streams
 from bmixlhv.model import Flavour, ModelParams
 from bmixlhv.montecarlo import (
     GENERATE_BLOCK_EVENTS,
-    READ_BLOCK_BYTES,
     WRITE_CHUNK_ROWS,
     EventBatch,
     EventFileError,
@@ -368,6 +367,11 @@ def test_event_file_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_events(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # the last row without its newline
+    path2.write_bytes(path.read_bytes().rstrip(b"\n"))
+    loaded = read_events(path2)
+    assert loaded == batch
+    assert loaded.swapped.dtype == np.bool_ and loaded.flavour1.dtype == np.int8
 
 
 # sha256 of the binary event file for n=2000, seed=20260814, keyed by
@@ -425,7 +429,7 @@ def test_event_columns_read_back_as_the_delimited_file(tmp_path, n, symmetrized)
     write_events(batch, tmp_path / "events.csv")
     write_event_columns(batch, tmp_path / "events.bin")
     loaded = read_events(tmp_path / "events.bin")
-    assert loaded == read_events(tmp_path / "events.csv", workers=2) == batch
+    assert loaded == read_events(tmp_path / "events.csv") == batch
     assert loaded.swapped.dtype == np.bool_
     # a rewrite of what was read is byte-identical
     write_event_columns(loaded, tmp_path / "again.bin")
@@ -590,9 +594,6 @@ def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
     before = threading.active_count()
     write_events(batch, tmp_path / "events.csv", workers=3)
     assert threads_at_fork == [before] * 3
-    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", 50_000)
-    assert read_events(tmp_path / "events.csv", workers=3) == batch
-    assert threads_at_fork == [before] * 6
 
 
 _FORMAT_ROWS = montecarlo._format_rows
@@ -624,58 +625,16 @@ def test_failing_worker_block_reaches_the_caller(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-# a 2007-event file in read blocks of 60 000 bytes: the third and last
-# block starts near row 1620
-_READ_TEST_BLOCK_BYTES = 60_000
-_THIRD_BLOCK_ROW = 1990
-
-
-def _event_file_in_read_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", _READ_TEST_BLOCK_BYTES)
-    cfg = _config(n=2007, seed=5, symmetrized=True)
-    batch = generate(cfg)
-    path = tmp_path / "events.csv"
-    write_events(batch, path)
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.startswith(b"#"):
-                body = fh.tell() - len(line)
-                break
-        cuts = montecarlo._block_cuts(fh, body, path.stat().st_size)
-    assert len(cuts) == 4 and cuts[2] < path.read_bytes().index(f"\n{_THIRD_BLOCK_ROW},".encode())
-    return batch, cfg, path
-
-
-def test_worker_count_changes_no_parsed_row(tmp_path, monkeypatch):
-    batch, cfg, path = _event_file_in_read_blocks(tmp_path, monkeypatch)
-    # the last row without its newline
-    path.write_bytes(path.read_bytes().rstrip(b"\n"))
-    pool_sizes = _spy_on_pool_sizes(monkeypatch)
-    for workers in (1, 2, 4):
-        loaded = read_events(path, workers=workers)
-        assert loaded == batch
-        assert loaded.config == cfg
-        assert loaded.swapped.dtype == np.bool_ and loaded.flavour1.dtype == np.int8
-    assert pool_sizes == [2, 3]
-    # a single block is parsed inline, whatever the worker count
-    monkeypatch.setattr(montecarlo, "READ_BLOCK_BYTES", READ_BLOCK_BYTES)
-    assert read_events(path, workers=4) == batch
-    assert pool_sizes == [2, 3]
-    with pytest.raises(ValueError, match="workers"):
-        read_events(path, workers=0)
-
-
-# loadtxt's warning that a blank line does not count towards max_rows
-# must not escape read_events
+# loadtxt's warnings of a blank line, which does not count towards max_rows,
+# and of an empty body must not escape read_events
 @pytest.mark.filterwarnings("error")
-def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
-    import multiprocessing
-
-    _, _, path = _event_file_in_read_blocks(tmp_path, monkeypatch)
+def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path):
+    path = tmp_path / "events.csv"
+    write_events(generate(_config(n=2007, seed=5, symmetrized=True)), path)
     lines = path.read_text().splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    at = rows[_THIRD_BLOCK_ROW]
-    row = _THIRD_BLOCK_ROW
+    row = 1990
+    at = rows[row]
 
     def edited(column, value):
         fields = lines[at].split(",")
@@ -694,16 +653,13 @@ def test_bad_rows_in_a_late_block_name_their_file_row(tmp_path, monkeypatch):
                   f"'1.2.3' to float64 at row {row}, column 3"),
         # loadtxt reads no row past the (n+1)-th of an overlong file
         "overlong": (lines + lines[-3:-2] + ["x\n"], "has more than 2007 rows"),
+        # loadtxt warns of a body with no row at all
+        "empty": (lines[:rows[0]] + ["\n"], "has 0 rows"),
     }
-    for name, (content, problem) in cases.items():
+    for content, problem in cases.values():
         path.write_text("".join(content))
-        messages = set()
-        for workers in (1, 2):
-            with pytest.raises(EventFileError, match=re.escape(problem)) as exc:
-                read_events(path, workers=workers)
-            messages.add(str(exc.value))
-            assert multiprocessing.active_children() == []
-        assert len(messages) == 1, messages
+        with pytest.raises(EventFileError, match=re.escape(problem)):
+            read_events(path)
 
 
 def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
@@ -723,7 +679,7 @@ def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
         lines.append(line)
     cases = {
         "short": (lines, r"has 3 rows, its header says n_events=10{12}"),
-        # the bad row is parsed again, without allocating by n_events
+        # the bad row is named without allocating by n_events
         "bad_row": (lines[:-2] + ["x" + lines[-2], lines[-1]],
                     r"malformed event row: could not convert string 'x1' .* at row 1,"),
     }
@@ -732,7 +688,7 @@ def test_huge_n_events_over_a_few_rows_allocates_little(tmp_path):
         tracemalloc.start()
         try:
             with pytest.raises(EventFileError, match=problem):
-                read_events(path, workers=2)
+                read_events(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -762,7 +718,7 @@ def test_a_bad_late_row_costs_no_more_memory_than_a_clean_read(tmp_path):
 
     clean = traced_peak(lambda: read_events(path))
     peak = traced_peak(read_bad)
-    # the 7.5 MB body is parsed again as a stream, not read in whole
+    # the 7.5 MB body is parsed as a stream, not read in whole
     assert peak < clean + 2**20, (clean, peak)
 
 
