@@ -31,8 +31,8 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 10.0
 # most lag bins a command takes.  On a 2-vCPU host, analyze of a
-# 10^6-event events.bin peaked at 212 MiB in 3.2 s at this many bins, against
-# 79 MiB in 0.46 s at 50: its per-bin tables grow with the bin count, and
+# 10^6-event events.bin peaked at 163 MiB in 2-3 s at this many bins, against
+# 76 MiB in 0.3 s at 50: its per-bin CSV text grows with the bin count, and
 # 10^9 bins would need 7.5 GiB for the edges alone
 MAX_BINS = 100_000
 BIN_CHUNK_EVENTS = 65_536  # events bin_events places per pass; no count depends on it
@@ -92,16 +92,6 @@ class BinnedRates:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "counts_same", same)
         object.__setattr__(self, "counts_opposite", opp)
-
-    def __add__(self, other: "BinnedRates") -> "BinnedRates":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge histograms with different edges")
-        return BinnedRates(
-            edges=self.edges,
-            counts_same=self.counts_same + other.counts_same,
-            counts_opposite=self.counts_opposite + other.counts_opposite,
-            n_total=self.n_total + other.n_total,
-        )
 
 
 @dataclass(frozen=True)
@@ -171,26 +161,19 @@ def _merge_groups(exp_same, exp_opp):
     :data:`MIN_EXPECTED_PER_BIN`.
 
     Deficient bins are merged rightward; a deficient trailing remainder is
-    folded into the last complete group.  Returns a list of (start, stop)
-    index ranges.
+    folded into the last complete group.  Returns each group's first bin,
+    as an int array.
     """
-    groups: list[tuple[int, int]] = []
-    start = 0
-    nbins = exp_same.size
+    starts = [0]
     acc_same = acc_opp = 0.0
-    for j in range(nbins):
-        acc_same += exp_same[j]
-        acc_opp += exp_opp[j]
+    for j, (same, opp) in enumerate(zip(exp_same.tolist(), exp_opp.tolist())):
+        acc_same += same
+        acc_opp += opp
         if acc_same >= MIN_EXPECTED_PER_BIN and acc_opp >= MIN_EXPECTED_PER_BIN:
-            groups.append((start, j + 1))
-            start = j + 1
+            starts.append(j + 1)
             acc_same = acc_opp = 0.0
-    if start < nbins:
-        if not groups:
-            return [(0, nbins)]
-        last_start, _ = groups[-1]
-        groups[-1] = (last_start, nbins)
-    return groups
+    # the start after the last complete group opens no group of its own
+    return np.array(starts[:-1] if len(starts) > 1 else starts)
 
 
 def _asymmetry(n_same, n_opp):
@@ -306,19 +289,19 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
         )
     exp_same = expected_counts(1, edges, binned.n_total, params)
     exp_opp = expected_counts(2, edges, binned.n_total, params)
-    groups = _merge_groups(exp_same, exp_opp)
-    if len(groups) < 3:
+    starts = _merge_groups(exp_same, exp_opp)
+    n_groups = starts.size
+    if n_groups < 3:
         raise FitRefusedError(
-            f"only {len(groups)} usable bin groups after merging; need at least 3"
+            f"only {n_groups} usable bin groups after merging; need at least 3"
         )
 
-    bounds = np.array(groups)
-    group_lo = edges[bounds[:, 0]]
-    group_hi = edges[bounds[:, 1]]
-    obs_same = np.array([binned.counts_same[a:b].sum() for a, b in groups])
-    obs_opp = np.array([binned.counts_opposite[a:b].sum() for a, b in groups])
-    mod_same = np.array([exp_same[a:b].sum() for a, b in groups])
-    mod_opp = np.array([exp_opp[a:b].sum() for a, b in groups])
+    stops = np.append(starts[1:], edges.size - 1)
+    group_lo, group_hi = edges[starts], edges[stops]
+    # a sum per slice: np.add.reduceat adds the expectations in another order
+    obs_same, obs_opp, mod_same, mod_opp = (
+        np.array([values[a:b].sum() for a, b in zip(starts.tolist(), stops.tolist())])
+        for values in (binned.counts_same, binned.counts_opposite, exp_same, exp_opp))
 
     for label, obs in (("same-flavour", obs_same), ("opposite-flavour", obs_opp)):
         if obs.sum() == 0.0:
@@ -330,7 +313,7 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     chi2_same = pearson(obs_same, mod_same)
     chi2_opp = pearson(obs_opp, mod_opp)
-    dof = len(groups) - 2
+    dof = n_groups - 2
 
     if np.any(obs_same + obs_opp == 0.0):
         raise FitRefusedError("a merged group contains no events")
@@ -365,26 +348,23 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
         fitted_delta_m_error=error,
         p_value_same=_chi2_sf(dof, chi2_same),
         p_value_opposite=_chi2_sf(dof, chi2_opp),
-        n_groups=len(groups),
+        n_groups=n_groups,
     )
 
 
-def bin_table(binned: BinnedRates, params: ModelParams) -> list[dict]:
-    """Per-bin comparison rows: counts, expectations, asymmetry with error."""
-    exp_same = expected_counts(1, binned.edges, binned.n_total, params)
-    exp_opp = expected_counts(2, binned.edges, binned.n_total, params)
+def bin_table(binned: BinnedRates, params: ModelParams) -> dict[str, np.ndarray]:
+    """Per-bin comparison columns, keyed by the ``analysis_bins.csv`` headers
+    in file order: bin edges, counts, expectations, asymmetry with error.
+    The edge and count columns are views of ``binned``'s arrays."""
     asym, variance = _asymmetry(binned.counts_same, binned.counts_opposite)
-    return [
-        {
-            "dt_lo": float(binned.edges[j]),
-            "dt_hi": float(binned.edges[j + 1]),
-            "n_same": float(binned.counts_same[j]),
-            "n_opp": float(binned.counts_opposite[j]),
-            "exp_same": float(exp_same[j]),
-            "exp_opp": float(exp_opp[j]),
-            "asym": float(asym[j]),
-            "asym_err": math.sqrt(variance[j]),
-        }
-        for j in range(binned.edges.size - 1)
-    ]
+    return {
+        "dt_lo": binned.edges[:-1],
+        "dt_hi": binned.edges[1:],
+        "n_same": binned.counts_same,
+        "n_opp": binned.counts_opposite,
+        "exp_same": expected_counts(1, binned.edges, binned.n_total, params),
+        "exp_opp": expected_counts(2, binned.edges, binned.n_total, params),
+        "asym": asym,
+        "asym_err": np.sqrt(variance),
+    }
 

@@ -1,11 +1,11 @@
 """Command-line front end: verify | simulate | analyze | scan.
 
-Parameter handling follows the internal-units rule: the model is fully
-determined by the dimensionless mixing parameter x = delta_m * tau, so all
-computation runs at tau = 1 with delta_m = x, and physical units are scaled
-back in (times multiplied by tau, frequencies divided) only at the output
-boundary.  Either give --x, or give --tau together with --delta-m; giving
-both specifications at once is a usage error.
+The model is fully determined by the dimensionless mixing parameter
+x = delta_m * tau.  ``montecarlo.generate`` scales its decay times by tau
+itself; ``verify`` and ``analyze`` compute at tau = 1 and scale physical
+units back in (times multiplied by tau, frequencies divided) only at the
+output boundary.  Either give --x, or give --tau together with --delta-m;
+giving both specifications at once is a usage error.
 
 Every output file starts with a ``# fingerprint=`` comment so results can
 be traced to their exact configuration; outputs contain no timestamps and
@@ -75,10 +75,6 @@ class RunConfig:
     formats: tuple[str, ...]
     threads: int
 
-    @property
-    def internal_params(self) -> ModelParams:
-        return ModelParams(1.0, self.params.x)
-
     def sim_config(self, params: ModelParams) -> SimConfig:
         """The generator configuration of this run for ``params``."""
         return SimConfig(params=params, n_events=self.n_events, seed=self.seed,
@@ -110,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, help="output directory (default: out)")
         sp.add_argument("--format", dest="format",
                         help="comma-separated subset of: " + ",".join(reporting.FORMATS))
-        sp.add_argument("--threads", type=int,
-                        help="workers for generation and event-file formatting")
 
     def add_sim(sp):
         sp.add_argument("--events", type=int, help="number of events to generate")
         sp.add_argument("--seed", type=int, help="64-bit generator seed")
         sp.add_argument("--symmetrized", action="store_const", const=True, default=None,
                         help="randomize which side receives which decay law")
+        sp.add_argument("--threads", type=int,
+                        help="workers for generation and event-file formatting")
 
     def add_binning(sp):
         sp.add_argument("--bins", type=int,
@@ -229,7 +225,8 @@ def resolve_config(args) -> RunConfig:
     out_dir = Path(pick("out", "out", DEFAULT_OUT, Path))
     formats_text = pick("format", "format", ",".join(reporting.FORMATS), str)
     env_threads = os.environ.get(THREADS_ENV_VAR)
-    threads = pick("threads", "threads", None, int)
+    # verify and analyze run on one thread and take no worker count
+    threads = pick("threads", "threads", None, int) if hasattr(args, "threads") else 1
     if threads is None and env_threads is not None:
         try:
             threads = int(env_threads)
@@ -313,15 +310,6 @@ def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
     return written
 
 
-def _rescale_batch(batch: EventBatch, config: SimConfig) -> EventBatch:
-    """``batch`` relabelled ``config``, which differs from its own at most in
-    tau, so both decay-time columns are multiplied by the ratio of the taus."""
-    if config == batch.config:
-        return batch
-    scale = config.params.tau / batch.config.params.tau
-    return replace(batch, t1=batch.t1 * scale, t2=batch.t2 * scale, config=config)
-
-
 def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: float):
     """Histogram the lags of an internal-unit batch in ``bins`` bins over
     [0, dt_max] and fit them; raises :class:`analysis.FitRefusedError`."""
@@ -333,7 +321,7 @@ def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: floa
 # subcommands
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report = verification.full_verification(cfg.internal_params)
+    report = verification.full_verification(ModelParams(1.0, cfg.params.x))
     checks = report.sorted_checks()
     headers = ("name", "target", "computed", "residual", "tolerance", "passed")
     rows = [(c.name, c.target, c.computed, c.residual, c.tolerance, c.passed)
@@ -359,19 +347,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
 
-def _simulate_batch(cfg: RunConfig) -> EventBatch:
-    """Generate in internal units and rescale to the physical configuration."""
-    batch = montecarlo.generate(cfg.sim_config(cfg.internal_params), workers=cfg.threads)
-    return _rescale_batch(batch, cfg.sim_config(cfg.params))
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
-    max_tau = sys.float_info.max / montecarlo.MAX_DECAY_LIFETIMES
-    if cfg.params.tau > max_tau:
-        raise ConfigError(f"tau must be at most {max_tau!r} to simulate, since decay times "
-                          f"reach {montecarlo.MAX_DECAY_LIFETIMES} tau; got {cfg.params.tau!r}")
+    try:
+        config = cfg.sim_config(cfg.params)
+    except ValueError as exc:  # a tau whose decay times would overflow
+        raise ConfigError(str(exc)) from None
     out = _ensure_out(cfg)
-    batch = _simulate_batch(cfg)
+    batch = montecarlo.generate(config, workers=cfg.threads)
     # the hand-off that analyze reads without parsing text
     event_path = out / "events.bin"
     montecarlo.write_event_columns(batch, event_path)
@@ -421,10 +403,13 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
 
     scale = physical.tau
     internal = ModelParams(1.0, physical.x)
-    internal_batch = _rescale_batch(batch, replace(batch.config, params=internal))
+    lifetimes = batch  # its decay times in lifetimes
+    if scale != 1.0:
+        lifetimes = replace(batch, t1=batch.t1 * (1.0 / scale), t2=batch.t2 * (1.0 / scale),
+                            config=replace(batch.config, params=internal))
     dt_max = cfg.dt_max_for(scale)
     try:
-        binned, fit = _bin_and_fit(internal_batch, internal, cfg.bins, dt_max / scale)
+        binned, fit = _bin_and_fit(lifetimes, internal, cfg.bins, dt_max / scale)
     except analysis.FitRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -445,17 +430,12 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     # per-bin table and plot-ready curves, physical units, delimited only
     if "delimited-columns" in cfg.formats:
         out = _ensure_out(cfg)
-        rows = analysis.bin_table(binned, internal)
-        bin_headers = ("dt_lo", "dt_hi", "n_same", "n_opp", "exp_same", "exp_opp",
-                       "asym", "asym_err")
-        bin_rows = [
-            (r["dt_lo"] * scale, r["dt_hi"] * scale, r["n_same"], r["n_opp"],
-             r["exp_same"], r["exp_opp"], r["asym"], r["asym_err"])
-            for r in rows
-        ]
+        table = analysis.bin_table(binned, internal)
+        table["dt_lo"], table["dt_hi"] = table["dt_lo"] * scale, table["dt_hi"] * scale
+        bin_rows = zip(*(column.tolist() for column in table.values()))
         reporting.write_text(
             out / "analysis_bins.csv",
-            reporting.csv_columns(bin_headers, bin_rows, fingerprint, **common_fields),
+            reporting.csv_columns(tuple(table), bin_rows, fingerprint, **common_fields),
         )
 
         edges = binned.edges

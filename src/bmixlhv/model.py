@@ -76,6 +76,8 @@ class ModelParams:
             raise ValueError(
                 f"delta_m must be finite and positive, got {self.delta_m!r}"
             )
+        if not (math.isfinite(self.x) and self.x > 0.0):
+            raise ValueError(f"x = delta_m * tau must be finite and positive, got {self.x!r}")
 
     @property
     def x(self) -> float:

@@ -17,7 +17,8 @@ of any other generator version are refused.
 
 :func:`generate` runs in fixed blocks of :data:`GENERATE_BLOCK_EVENTS`
 events, each writing its own slice of the preallocated result columns, so
-peak temporary memory does not depend on ``n_events``.
+peak temporary memory does not depend on ``n_events``.  Blocks sample in
+lifetime units (tau = 1, delta_m = x) and then multiply t1 and t2 by tau.
 
 The phase accept test u_b < 4 rho(2pi u_a) reads proven bounds on 4 rho in
 the proposal's bin of :data:`_SQUEEZE_BINS` over [0, 2pi) first, and
@@ -44,6 +45,7 @@ import hashlib
 import math
 import os
 import signal
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -162,6 +164,10 @@ class SimConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.max_rejection_iters < 1:
             raise ValueError("max_rejection_iters must be at least 1")
+        max_tau = sys.float_info.max / MAX_DECAY_LIFETIMES
+        if self.params.tau > max_tau:
+            raise ValueError(f"tau must be at most {max_tau!r}, since decay times reach "
+                             f"{MAX_DECAY_LIFETIMES} tau; got {self.params.tau!r}")
 
 
 def _config_fields(config: SimConfig) -> dict:
@@ -330,13 +336,14 @@ def _squeeze(bounds, u_a, u_b):
 
 
 def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
-    """Generate the events with indices in [start, stop); stats cover the range."""
+    """Generate the events with indices in [start, stop), drawn at tau = 1
+    and delta_m = x, with t1 and t2 then scaled by tau; stats cover the range."""
     if not 0 <= start <= stop <= config.n_events:
         raise ValueError(f"invalid event range [{start}, {stop})")
     if start == stop:
         raise ValueError("empty event range")
-    params = config.params
-    tau, dm = params.tau, params.delta_m
+    params = ModelParams(1.0, config.params.x)
+    dm = params.delta_m
     table = rho_table(params)
     bounds = _squeeze_bounds(table)
     n = stop - start
@@ -357,11 +364,11 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     # t1 takes u_a of one pair; u_b is the symmetrization coin
     u_a, coin = uniform_pair_block(config.seed, idx, cursor)
     cursor += 1
-    t1 = -tau * np.log1p(-u_a)
+    t1 = -np.log1p(-u_a)
     flavour1 = flavour_window_codes(lam, t1, params)
 
     def t2_test(lanes, u_a, u_b):
-        t_prop = -tau * np.log1p(-u_a)
+        t_prop = -np.log1p(-u_a)
         return u_b < np.abs(np.cos(lam[lanes] - dm * t_prop)), t_prop
 
     t2, t2_proposals, left = _first_accepted(config, idx, cursor, t2_test)
@@ -378,6 +385,9 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
             np.where(swapped, flavour2, flavour1),
             np.where(swapped, flavour1, flavour2),
         )
+    if config.params.tau != 1.0:
+        t1 *= config.params.tau
+        t2 *= config.params.tau
 
     return EventBatch(
         index=idx,

@@ -25,9 +25,10 @@ def test_chsh_combination_of_the_sample_exceeds_the_local_bound(big_batch, param
     dt0 = math.pi / (4.0 * params.x)
     edges = [dt0 - HALF_WIDTH, dt0 + HALF_WIDTH, 3 * dt0 - HALF_WIDTH, 3 * dt0 + HALF_WIDTH]
     # the middle bin is the gap between the two settings
-    at_dt0, _, at_3dt0 = bin_table(bin_events(big_batch, edges), params)
-    s_value = 3.0 * at_dt0["asym"] - at_3dt0["asym"]
-    sigma = math.hypot(3.0 * at_dt0["asym_err"], at_3dt0["asym_err"])
+    table = bin_table(bin_events(big_batch, edges), params)
+    asym, asym_err = table["asym"], table["asym_err"]
+    s_value = 3.0 * asym[0] - asym[2]
+    sigma = math.hypot(3.0 * asym_err[0], asym_err[2])
 
     def qm_asymmetry(lo, hi):
         p_same, p_opp = (delta_t_bin_probability(i, lo, hi, params.delta_m) for i in (1, 2))

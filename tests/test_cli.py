@@ -222,6 +222,26 @@ def test_analyze_of_the_hand_off_matches_the_delimited_file(tmp_path):
         assert (tmp_path / "bin" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze events.bin"])
+def test_threads_is_an_option_of_the_generating_commands_only(tmp_path, capsys, command):
+    # verify and analyze run on one thread; --threads there is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(*command.split(), "--threads", 2, "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_commands_without_threads_read_no_worker_count(tmp_path, monkeypatch):
+    # a shared config file or environment may set one, even a bad one
+    monkeypatch.setenv(cli.THREADS_ENV_VAR, "not-a-number")
+    config = tmp_path / "run.ini"
+    config.write_text("[output]\nthreads = 0\n")
+    for argv in (["verify"], ["analyze", "events.bin"]):
+        args = cli.build_parser().parse_args([*argv, "--config", str(config)])
+        assert cli.resolve_config(args).threads == 1
+
+
 def test_threads_env_var_is_honoured(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
     args = ("simulate", "--x", 0.776, "--events", 1000, "--seed", 14)
@@ -357,6 +377,11 @@ def test_usage_errors_exit_2(tmp_path):
     (("analyze", "events.csv", "--dt-max", "nan"), "dt-max must be finite and positive, got nan"),
     (("scan", "inf"), "all mixing values must be finite and positive"),
     (("scan", "0.776", "nan"), "all mixing values must be finite and positive"),
+    # each factor is a valid float, but their product x is not
+    (("simulate", "--tau", "1e300", "--delta-m", "1e300"),
+     "x = delta_m * tau must be finite and positive, got inf"),
+    (("verify", "--tau", "1e-200", "--delta-m", "1e-200"),
+     "x = delta_m * tau must be finite and positive, got 0.0"),
 ])
 def test_non_finite_values_are_refused_as_such(tmp_path, capsys, argv, message):
     assert run(*argv, "--out", tmp_path / "o") == 2
@@ -561,7 +586,7 @@ def test_no_command_loads_scipy(tmp_path):
     assert not verified & _POOL_MODULES
     # analyze parses the event file in its own process
     analyzed = _loaded_modules(tmp_path, "analyze", tmp_path / "sim" / "events.csv",
-                               "--threads", 2, "--out", tmp_path / "fit")
+                               "--out", tmp_path / "fit")
     assert _scipy(analyzed) == set()
     assert not analyzed & _POOL_MODULES
     scanned = _loaded_modules(tmp_path, "scan", 0.776, 2, "--events", 3000,

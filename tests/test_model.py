@@ -238,7 +238,8 @@ def test_rho_table_evaluates_the_closed_form_density():
 
 @pytest.mark.parametrize(
     "tau,dm", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-               (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)]
+               (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+               (1e300, 1e300), (1e-200, 1e-200)]
 )
 def test_params_validation(tau, dm):
     with pytest.raises(ValueError):

@@ -80,6 +80,25 @@ def test_worker_count_does_not_change_the_batch():
         assert generate(cfg, workers=workers) == ref
 
 
+@pytest.mark.parametrize("tau", [1.5, 1e300])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_physical_tau_scales_the_lifetime_unit_stream(tau, symmetrized):
+    # generate samples at (1, x) and multiplies the decay times by tau, so a
+    # physical tau moves no other column, flag or count
+    physical = _config(n=3001, seed=19, symmetrized=symmetrized, tau=tau, dm=0.776 / tau)
+    batch = generate(physical, workers=2)
+    lifetimes = generate(_config(n=3001, seed=19, symmetrized=symmetrized,
+                                 dm=physical.params.x))
+    assert batch.config == physical
+    assert batch.rng_stats == lifetimes.rng_stats
+    for name in EVENT_BATCH_COLUMNS:
+        expected = getattr(lifetimes, name)
+        if name in ("t1", "t2"):
+            expected = expected * tau
+        assert np.array_equal(getattr(batch, name), expected)
+    assert np.isfinite(batch.t1).all() and np.isfinite(batch.t2).all()
+
+
 def test_blocks_reassemble_the_whole_range():
     # two full generation blocks and a partial third
     cfg = _config(n=2 * GENERATE_BLOCK_EVENTS + 7, seed=11, symmetrized=True)
@@ -897,6 +916,8 @@ def test_config_fingerprint_separates_configs():
         {"seed": -1},
         {"seed": 2**64},
         {"max_rejection_iters": 0},
+        # the longest decay time drawn, 53 ln 2 tau, is inf at this tau
+        {"params": ModelParams(1e308, 1e-308)},
     ],
 )
 def test_sim_config_validation(kwargs):
