@@ -26,7 +26,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -403,13 +403,12 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
 
     scale = physical.tau
     internal = ModelParams(1.0, physical.x)
-    lifetimes = batch  # its decay times in lifetimes
-    if scale != 1.0:
-        lifetimes = replace(batch, t1=batch.t1 * (1.0 / scale), t2=batch.t2 * (1.0 / scale),
-                            config=replace(batch.config, params=internal))
+    if scale != 1.0:  # decay times to lifetimes in place; no one else holds this batch
+        for times in (batch.t1, batch.t2):
+            times *= 1.0 / scale
     dt_max = cfg.dt_max_for(scale)
     try:
-        binned, fit = _bin_and_fit(lifetimes, internal, cfg.bins, dt_max / scale)
+        binned, fit = _bin_and_fit(batch, internal, cfg.bins, dt_max / scale)
     except analysis.FitRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -58,7 +58,7 @@ from .model import (
     flavour_window_codes,
     rho_table,
 )
-from .reporting import comment_header, format_value, open_atomic
+from .reporting import comment_header, float_text, format_value, open_atomic, text_rows, uint_text
 from .streams import uniform_pair_block
 
 __all__ = [
@@ -95,7 +95,7 @@ BODY_VERSION = 1
 
 # rows formatted per block and write; bounds the text each process holds,
 # a few MB.  No output byte depends on it.
-WRITE_CHUNK_ROWS = 32_768
+WRITE_CHUNK_ROWS = 16_384
 
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
@@ -126,8 +126,9 @@ _COLUMNS = tuple((field, label, np.dtype(dtype)) for field, label, dtype in (
 # bytes of one event in a generated batch and in the binary body: 35
 EVENT_BYTES = sum(dtype.itemsize for _, _, dtype in _COLUMNS)
 
-# label text by flavour code; code 0 is unused
-_LABEL_BY_CODE = np.array([None, Flavour.B0.label, Flavour.B0BAR.label], dtype=object)
+# label bytes by flavour code, a reporting text matrix; code 0 is unused
+_LABEL_TEXT = np.array([b"", Flavour.B0.label.encode(), Flavour.B0BAR.label.encode()],
+                       "S5").view(np.uint8).reshape(3, 5)
 
 # one parsed event row, each flavour label one byte longer than the longest,
 # so a longer field, which loadtxt truncates, still fails the label check
@@ -475,20 +476,18 @@ def _fork_map(fn, workers: int, *sequences):
         pool.shutdown(cancel_futures=True)
 
 
-def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> str:
-    """The event-file rows of one block of columns, one line per event."""
-    rows = zip(
-        index.tolist(),
-        lam.tolist(),
-        t1.tolist(),
-        _LABEL_BY_CODE[flavour1].tolist(),
-        t2.tolist(),
-        _LABEL_BY_CODE[flavour2].tolist(),
-        swapped.astype(np.uint8).tolist(),
-    )
-    return "".join([
-        f"{i},{lam!r},{t1!r},{f1},{t2!r},{f2},{sw}\n"
-        for i, lam, t1, f1, t2, f2, sw in rows
+def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> bytes:
+    """The event-file rows of one block of columns, one line per event, as
+    ASCII bytes formatted column by column (:mod:`bmixlhv.reporting`): the
+    floats as ``repr``, the flavours as their labels, the flag as 0 or 1."""
+    return text_rows([
+        uint_text(index),
+        float_text(lam),
+        float_text(t1),
+        _LABEL_TEXT.take(flavour1, axis=0),
+        float_text(t2),
+        _LABEL_TEXT.take(flavour2, axis=0),
+        (swapped.astype(np.uint8) + np.uint8(ord("0")))[:, None],
     ])
 
 
@@ -497,12 +496,13 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     configuration, its fingerprint and acceptance stats, then one row per
     event.
 
-    Rows are formatted column-wise by :func:`_format_rows` in blocks of
-    :data:`WRITE_CHUNK_ROWS`, by :func:`_fork_map`: with ``workers`` above 1
-    and more than one block, on ``min(workers, blocks)`` forked processes,
-    which end before the call returns.  The blocks are written in order as
-    they return.  The bytes depend neither on ``workers`` nor on the block
-    size, and the file appears under ``path`` only once it is complete.
+    Rows are formatted column-wise, as bytes, by :func:`_format_rows` in
+    blocks of :data:`WRITE_CHUNK_ROWS`, by :func:`_fork_map`: with
+    ``workers`` above 1 and more than one block, on ``min(workers, blocks)``
+    forked processes, which end before the call returns.  The blocks are
+    written in order as they return.  The bytes are those of one ``repr``
+    per float; they depend neither on ``workers`` nor on the block size, and
+    the file appears under ``path`` only once it is complete.
 
     Raises ``ValueError``, and writes nothing, for a batch whose file
     ``read_events`` would refuse by :func:`_check_rows`.
@@ -516,8 +516,9 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
                for column in batch.columns().values()]
     # _fork_map submits every block, forking the workers, before the file is
     # opened, so no worker inherits an unflushed buffer of it
-    with _fork_map(_format_rows, workers, *columns) as texts, open_atomic(path) as fh:
-        fh.write(_header_text(batch))
+    with _fork_map(_format_rows, workers, *columns) as texts, \
+            open_atomic(path, binary=True) as fh:
+        fh.write(_header_text(batch).encode("utf-8"))
         for text in texts:
             fh.write(text)
 

@@ -393,6 +393,20 @@ def test_event_file_round_trip(tmp_path):
     assert loaded.swapped.dtype == np.bool_ and loaded.flavour1.dtype == np.int8
 
 
+def test_physical_tau_rows_match_the_row_oracle(tmp_path):
+    # at tau = 1.5e-12 every decay time prints in scientific form
+    cfg = _config(n=WRITE_CHUNK_ROWS + 5, seed=8, symmetrized=True, tau=1.5e-12,
+                  dm=0.776 / 1.5e-12)
+    batch = generate(cfg)
+    path = tmp_path / "events.csv"
+    write_events(batch, path, workers=2)
+    body = b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"#"))
+    assert body == event_file_rows(batch).encode("ascii")
+    times = [field for row in body.splitlines() for field in row.split(b",")[2:5:2]]
+    assert all(b"e-" in field for field in times)
+
+
 # sha256 of the binary event file for n=2000, seed=20260814, keyed by
 # (x, symmetrized): the header of events.csv with its body_version and
 # body_sha256 lines, then the columns.  It moves with the event bytes and
@@ -536,19 +550,17 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
     write_events(batch, path)
     before = path.read_bytes()
 
-    labels = montecarlo._LABEL_BY_CODE
+    format_rows = montecarlo._format_rows
+    calls = []
 
-    class KilledAfterFirstBlock:
-        lookups = 0
-
-        def __getitem__(self, codes):
-            self.lookups += 1  # two lookups per block
-            if self.lookups > 2:
-                raise KeyboardInterrupt
-            return labels[codes]
+    def killed_after_first_block(*columns):
+        calls.append(columns)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return format_rows(*columns)
 
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 2)
-    monkeypatch.setattr(montecarlo, "_LABEL_BY_CODE", KilledAfterFirstBlock())
+    monkeypatch.setattr(montecarlo, "_format_rows", killed_after_first_block)
     with pytest.raises(KeyboardInterrupt):
         write_events(batch, path)
     assert path.read_bytes() == before
