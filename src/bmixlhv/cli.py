@@ -40,6 +40,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 THREADS_ENV_VAR = "BMIXLHV_THREADS"
 
@@ -567,6 +568,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        # every file is written through open_atomic, so none is left partial
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -44,7 +44,6 @@ import contextlib
 import hashlib
 import math
 import os
-import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -93,7 +92,7 @@ GENERATOR_VERSION = 2
 # event file, and read_events refuses any other
 BODY_VERSION = 1
 
-# rows formatted per block and write; bounds the text each process holds,
+# rows formatted per block and write; bounds the text each thread holds,
 # a few MB.  No output byte depends on it.
 WRITE_CHUNK_ROWS = 16_384
 
@@ -403,9 +402,27 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
     )
 
 
+@contextlib.contextmanager
+def _thread_map(fn, workers: int, *sequences):
+    """``map(fn, *sequences)``, results in order, on a pool of
+    ``min(workers, len(sequences[0]))`` threads.
+
+    Every item is submitted on entry.  On exit, by an error or an interrupt
+    too, items not yet started are cancelled, and the threads end once
+    their current item does.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(sequences[0])))
+    try:
+        yield pool.map(fn, *sequences)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def generate(config: SimConfig, workers: int = 1) -> EventBatch:
     """Generate the full batch in blocks of :data:`GENERATE_BLOCK_EVENTS`
-    events on a pool of at most ``workers`` threads.
+    events on at most ``workers`` threads (:func:`_thread_map`).
 
     Each block runs :func:`generate_events` and fills its own slice of the
     result columns, so peak temporary memory is set by the block size and
@@ -413,8 +430,6 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
     for any worker count because every event owns its own substream.
     """
     n = config.n_events
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     blocks = [(start, min(start + GENERATE_BLOCK_EVENTS, n))
               for start in range(0, n, GENERATE_BLOCK_EVENTS)]
     columns = {field: np.empty(n, dtype) for field, _, dtype in _COLUMNS}
@@ -426,8 +441,8 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
             column[start:stop] = values
         return part.rng_stats
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        stats = list(pool.map(fill, blocks))
+    with _thread_map(fill, workers, blocks) as results:
+        stats = list(results)
     columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(
         **columns,
@@ -439,42 +454,6 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
 
 # ---------------------------------------------------------------------------
 # event file round trip
-
-@contextlib.contextmanager
-def _fork_map(fn, workers: int, *sequences):
-    """``map(fn, *sequences)``, results in order, on a pool of
-    ``min(workers, len(sequences[0]))`` forked processes when that is above
-    1, else in this process.
-
-    Every item is submitted, forking every worker, on entry; on exit the
-    pool is shut down, and items not yet started are cancelled.
-    """
-    workers = min(workers, len(sequences[0]))
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # fork, not spawn (each worker would re-import numpy and the package)
-        # nor forkserver (its server outlives the pool).  With fork, the
-        # executor of Python >= 3.11 forks every worker before it starts its
-        # manager thread (CPython issue 90622), so no fork sees a thread of
-        # its own.  Workers ignore SIGINT, so an interrupt reaches only this
-        # process, which shuts the pool down.  Without fork the items are
-        # mapped here.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"),
-                                       initializer=signal.signal,
-                                       initargs=(signal.SIGINT, signal.SIG_IGN))
-    if pool is None:
-        yield map(fn, *sequences)
-        return
-    try:
-        yield pool.map(fn, *sequences)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
 
 def _format_rows(index, lam, t1, flavour1, t2, flavour2, swapped) -> bytes:
     """The event-file rows of one block of columns, one line per event, as
@@ -497,26 +476,23 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     event.
 
     Rows are formatted column-wise, as bytes, by :func:`_format_rows` in
-    blocks of :data:`WRITE_CHUNK_ROWS`, by :func:`_fork_map`: with
-    ``workers`` above 1 and more than one block, on ``min(workers, blocks)``
-    forked processes, which end before the call returns.  The blocks are
-    written in order as they return.  The bytes are those of one ``repr``
-    per float; they depend neither on ``workers`` nor on the block size, and
-    the file appears under ``path`` only once it is complete.
+    blocks of :data:`WRITE_CHUNK_ROWS` on ``min(workers, blocks)`` threads
+    (:func:`_thread_map`, as :func:`generate` samples), and written in order
+    as they return.  The bytes are those of one ``repr`` per float; they
+    depend neither on ``workers`` nor on the block size, and the file
+    appears under ``path`` only once it is complete.  An error or an
+    interrupt cancels the blocks not yet started and leaves any previous
+    file under ``path`` as it was.
 
     Raises ``ValueError``, and writes nothing, for a batch whose file
     ``read_events`` would refuse by :func:`_check_rows`.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     _check_rows(batch.columns(), batch.config.n_events, ValueError)
     starts = range(0, len(batch), WRITE_CHUNK_ROWS)
     # one list of block slices per column, in _format_rows' argument order
     columns = [[column[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for column in batch.columns().values()]
-    # _fork_map submits every block, forking the workers, before the file is
-    # opened, so no worker inherits an unflushed buffer of it
-    with _fork_map(_format_rows, workers, *columns) as texts, \
+    with _thread_map(_format_rows, workers, *columns) as texts, \
             open_atomic(path, binary=True) as fh:
         fh.write(_header_text(batch).encode("utf-8"))
         for text in texts:

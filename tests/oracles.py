@@ -6,8 +6,9 @@ second-side normalizer by summing exact antiderivatives between cosine sign
 changes, the band probabilities by adaptive 2-D quadrature of the joint
 density, and the verification integrals by adaptive quadrature with
 breakpoints (:func:`adaptive_quad`).  :func:`two_sample_chi2` compares two
-histograms for the symmetrization acceptance check.  They work in unit-lifetime time units
-(tau = 1).
+histograms for the symmetrization acceptance check, and
+:func:`sample_furry` draws the disentangled pairs the fit must reject.
+They work in unit-lifetime time units (tau = 1).
 
 The scalar samplers at the end are the other kind of reference: one event
 at a time, one stream block per draw, in the generator's draw order, so the
@@ -254,6 +255,20 @@ def bin_events_one_shot(batch, edges) -> BinnedRates:
         counts_opposite=np.bincount(pos[in_range & ~same], minlength=nbins).astype(float),
         n_total=len(batch),
     )
+
+
+def sample_furry(rng: np.random.Generator, n: int, delta_m: float):
+    """``(t1, t2, flavour1, flavour2)`` of ``n`` pairs (tau = 1) under
+    spontaneous disentanglement, Furry's hypothesis: at production the pair
+    becomes one B0 and one B0bar, which then mix independently, each side
+    keeping its flavour up to its decay with probability
+    (1 + cos(delta_m t))/2.  The asymmetry is cos(delta_m t1) cos(delta_m t2),
+    not cos(delta_m (t1 - t2)): the negative control of the fit."""
+    t = rng.exponential(size=(2, n))
+    initial = np.array([[Flavour.B0], [Flavour.B0BAR]], dtype=np.int8)
+    kept = rng.random((2, n)) < 0.5 * (1.0 + np.cos(delta_m * t))
+    flavour = np.where(kept, initial, 3 - initial)
+    return t[0], t[1], flavour[0], flavour[1]
 
 
 def event_file_rows(batch) -> str:

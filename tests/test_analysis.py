@@ -22,7 +22,12 @@ from bmixlhv.analysis import (
 )
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import EventBatch, RngStats, SimConfig, generate
-from oracles import bin_events_one_shot, delta_t_bin_probability, two_sample_chi2
+from oracles import (
+    bin_events_one_shot,
+    delta_t_bin_probability,
+    sample_furry,
+    two_sample_chi2,
+)
 
 DEFAULT = ModelParams(tau=1.0, delta_m=0.776)
 
@@ -355,6 +360,18 @@ def test_p_values_match_the_chi2_survival_function(small_batch):
         assert fit.p_value_opposite == pytest.approx(chi2_dist.sf(fit.chi2_opposite, fit.dof),
                                                      rel=2e-12)
         assert type(fit.p_value_same) is float
+
+
+def test_fit_rejects_spontaneous_disentanglement():
+    # negative control: 1e5 pairs that disentangle at production (Furry)
+    # fail both classes of the fit at the measured x
+    t1, t2, f1, f2 = sample_furry(np.random.default_rng(0), 100_000, DEFAULT.delta_m)
+    # the sampler's own law: P(same) = (1 - E[cos x t]^2)/2, E[cos x t] = 1/(1 + x^2)
+    same = 0.5 * (1.0 - (1.0 + DEFAULT.x ** 2) ** -2)
+    assert np.mean(f1 == f2) == pytest.approx(same, abs=5 * math.sqrt(same * (1 - same) / 1e5))
+    binned = bin_events(_mk_batch(t1, t2, f1, f2), np.linspace(0.0, 5.0, 51))
+    fit = goodness_of_fit(binned, DEFAULT)
+    assert fit.p_value_same < 1e-6 and fit.p_value_opposite < 1e-6
 
 
 def _exact_chi2_sf(dof, chi2):

@@ -447,6 +447,28 @@ def test_simulate_refuses_a_tau_whose_decay_times_overflow(tmp_path, capsys):
     assert read_events(out / "events.bin").config.params.tau == 4e306
 
 
+def test_interrupted_simulate_exits_130_with_one_line(tmp_path):
+    # Ctrl-C, a SIGINT to the main thread, while events.csv is formatted on
+    # two threads: exit 130, one stderr line, no partial event file
+    out = tmp_path / "sim"
+    code = (
+        "import signal, sys, threading\n"
+        "from bmixlhv import cli, montecarlo\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started ignoring it\n"
+        "format_rows = montecarlo._format_rows\n"
+        "def rows(index, *columns):\n"
+        "    if index[0] > 0:\n"
+        "        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)\n"
+        "    return format_rows(index, *columns)\n"
+        "montecarlo._format_rows = rows\n"
+        f"sys.exit(cli.main(['simulate', '--events', '40000', '--threads', '2', "
+        f"'--out', {str(out)!r}]))\n"
+    )
+    done = _python_run(tmp_path, code)
+    assert (done.returncode, done.stderr, done.stdout) == (130, "error: interrupted\n", "")
+    assert sorted(p.name for p in out.iterdir()) == ["events.bin"]
+
+
 def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
     # 1/N must stay finite there, or no lambda proposal is ever accepted and
     # the rejection budget runs out
@@ -541,13 +563,19 @@ def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
     assert point["fitted_delta_m"] is None
 
 
-def _python(tmp_path, code):
-    """stdout of ``code`` run in a fresh interpreter that imports this package."""
+def _python_run(tmp_path, code, check=False):
+    """The finished run of ``code`` in a fresh interpreter that imports this
+    package."""
     src = str(Path(bmixlhv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, cwd=tmp_path).stdout
+                          text=True, check=check, cwd=tmp_path, timeout=300)
+
+
+def _python(tmp_path, code):
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
+    return _python_run(tmp_path, code, check=True).stdout
 
 
 def _loaded_modules(tmp_path, *argv):
@@ -567,17 +595,19 @@ def _scipy(modules):
     return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
-# the event-file writer imports these only for worker processes
+# a process pool's modules: generation and the event-file write run on threads
 _POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # scipy is a test-only dependency: no command imports any of it.  The
-    # process pool's modules load only for a multi-block event file
+    # scipy is a test-only dependency: no command imports any of it, and no
+    # command starts a process pool, not even for an event file of several
+    # write blocks on two workers
     imported = _loaded_modules(tmp_path)
     assert _scipy(imported) == set()
     assert not imported & _POOL_MODULES
-    simulated = _loaded_modules(tmp_path, "simulate", "--x", 0.776, "--events", 3000,
+    assert 40_000 > 2 * montecarlo.WRITE_CHUNK_ROWS
+    simulated = _loaded_modules(tmp_path, "simulate", "--x", 0.776, "--events", 40_000,
                                 "--seed", 4, "--threads", 2, "--out", tmp_path / "sim")
     assert _scipy(simulated) == set()
     assert not simulated & _POOL_MODULES

@@ -1,12 +1,12 @@
 """Generator tests: bit-exact reproducibility, stream partitioning, and
 agreement of the sampled distributions with quadrature of the model laws."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
-import os
 import re
-import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -568,92 +568,111 @@ def test_interrupted_event_write_keeps_the_previous_file(tmp_path, monkeypatch):
 
 
 def _spy_on_pool_sizes(monkeypatch) -> list:
-    """The worker count of every process pool blocks are mapped on."""
-    from concurrent.futures.process import ProcessPoolExecutor
+    """The thread count of every pool blocks are mapped on."""
+    from concurrent.futures import ThreadPoolExecutor
 
     sizes = []
-    real_init = ProcessPoolExecutor.__init__
+    real_init = ThreadPoolExecutor.__init__
 
     def spied(pool, max_workers=None, *args, **kwargs):
         sizes.append(max_workers)
         real_init(pool, max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spied)
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", spied)
     return sizes
 
 
 def test_worker_count_changes_no_event_file_byte(tmp_path, monkeypatch):
-    # two full write blocks and a partial third, formatted inline and on
-    # two and three worker processes
+    # two full write blocks and a partial third, formatted on one, two and
+    # three threads: no pool has more threads than blocks
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1000)
     pool_sizes = _spy_on_pool_sizes(monkeypatch)
     cfg = _config(n=2 * 1000 + 7, seed=5, symmetrized=True)
-    batch = generate(cfg)
+    batch = generate(cfg, workers=4)  # one generate block
     written = {}
     for workers in (1, 2, 4):
         path = tmp_path / f"events{workers}.csv"
         write_events(batch, path, workers=workers)
         written[workers] = path.read_bytes()
-    assert pool_sizes == [2, 3]
+    assert pool_sizes == [1, 1, 2, 3]
     assert written[2] == written[1] and written[4] == written[1]
     loaded = read_events(tmp_path / "events4.csv")
     assert loaded == batch
     assert loaded.config == cfg
-    # a single block is formatted inline, whatever the worker count
+    # a single block is formatted on one thread, whatever the worker count
     monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1 << 20)
     write_events(batch, tmp_path / "one_block.csv", workers=4)
-    assert pool_sizes == [2, 3]
+    assert pool_sizes == [1, 1, 2, 3, 1]
     assert (tmp_path / "one_block.csv").read_bytes() == written[1]
     with pytest.raises(ValueError, match="workers"):
         write_events(batch, tmp_path / "none.csv", workers=0)
 
 
-def test_workers_fork_before_the_pool_starts_a_thread(tmp_path, monkeypatch):
-    # a child forked while another thread of the parent holds a lock can
-    # deadlock; every worker must fork while only the caller's threads run
-    threads_at_fork = []
-    real_fork = os.fork
-
-    def fork():
-        threads_at_fork.append(threading.active_count())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", 1000)
-    cfg = _config(n=4 * 1000)
-    batch = generate(cfg)
-    before = threading.active_count()
-    write_events(batch, tmp_path / "events.csv", workers=3)
-    assert threads_at_fork == [before] * 3
+_STOP_BLOCKS = 50
+_STOP_BLOCK_ROWS = 100
 
 
-_FORMAT_ROWS = montecarlo._format_rows
-_FAILING_BLOCK_START = 1000
+def _slow_blocks_over_a_previous_file(tmp_path, monkeypatch, fail_second_block=False):
+    """A batch of 50 write blocks of 100 rows, the bytes of its file already
+    at ``path``, and the first rows of the blocks formatted since.  Each
+    block takes at least 5 ms, so a write on 2 threads that stops at its
+    second block leaves most blocks unstarted, unless it waits for them."""
+    batch = generate(_config(n=_STOP_BLOCKS * _STOP_BLOCK_ROWS))
+    path = tmp_path / "events.csv"
+    write_events(batch, path)
+    format_rows = montecarlo._format_rows
+    started = []
 
+    def slow_rows(index, *columns):
+        started.append(int(index[0]))
+        if fail_second_block and index[0] == _STOP_BLOCK_ROWS:
+            raise ArithmeticError(f"block at row {_STOP_BLOCK_ROWS} cannot be formatted")
+        time.sleep(0.005)
+        return format_rows(index, *columns)
 
-def _format_rows_failing_on_one_block(index, *columns):
-    """Picklable by name, so a forked worker runs it in place of the real one."""
-    if index[0] == _FAILING_BLOCK_START:
-        raise ArithmeticError(f"block at row {_FAILING_BLOCK_START} cannot be formatted")
-    return _FORMAT_ROWS(index, *columns)
+    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", _STOP_BLOCK_ROWS)
+    monkeypatch.setattr(montecarlo, "_format_rows", slow_rows)
+    return batch, path, path.read_bytes(), started
 
 
 def test_failing_worker_block_reaches_the_caller(tmp_path, monkeypatch):
-    import multiprocessing
-
-    cfg = _config(n=5 * _FAILING_BLOCK_START)
-    batch = generate(cfg)
-    path = tmp_path / "events.csv"
-    write_events(batch, path)
-    before = path.read_bytes()
-
-    monkeypatch.setattr(montecarlo, "WRITE_CHUNK_ROWS", _FAILING_BLOCK_START)
-    monkeypatch.setattr(montecarlo, "_format_rows", _format_rows_failing_on_one_block)
-    with pytest.raises(ArithmeticError, match="block at row 1000"):
+    batch, path, before, started = _slow_blocks_over_a_previous_file(
+        tmp_path, monkeypatch, fail_second_block=True)
+    with pytest.raises(ArithmeticError, match="block at row 100"):
         write_events(batch, path, workers=2)
+    assert _STOP_BLOCK_ROWS in started
+    assert len(started) < _STOP_BLOCKS
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
-    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_parallel_write_cancels_the_unstarted_blocks(tmp_path, monkeypatch):
+    # Ctrl-C while the caller writes the first block, outside the map
+    # iterator: the pool itself must cancel what has not started
+    batch, path, before, started = _slow_blocks_over_a_previous_file(tmp_path, monkeypatch)
+    open_atomic = montecarlo.open_atomic
+
+    class InterruptedWrites:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:  # the header, then block 0
+                raise KeyboardInterrupt
+            return self.fh.write(data)
+
+    @contextlib.contextmanager
+    def interrupted(*args, **kwargs):
+        with open_atomic(*args, **kwargs) as fh:
+            yield InterruptedWrites(fh)
+
+    monkeypatch.setattr(montecarlo, "open_atomic", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_events(batch, path, workers=2)
+    assert len(started) < _STOP_BLOCKS
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
 # loadtxt's warnings of a blank line, which does not count towards max_rows,
