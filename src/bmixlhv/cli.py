@@ -322,6 +322,7 @@ def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: floa
 # subcommands
 
 def cmd_verify(cfg: RunConfig) -> int:
+    _ensure_out(cfg)  # refuse an unusable --out before the quadrature runs
     report = verification.full_verification(ModelParams(1.0, cfg.params.x))
     checks = report.sorted_checks()
     headers = ("name", "target", "computed", "residual", "tolerance", "passed")
@@ -432,31 +433,24 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
         out = _ensure_out(cfg)
         table = analysis.bin_table(binned, internal)
         table["dt_lo"], table["dt_hi"] = table["dt_lo"] * scale, table["dt_hi"] * scale
-        bin_rows = zip(*(column.tolist() for column in table.values()))
-        reporting.write_text(
-            out / "analysis_bins.csv",
-            reporting.csv_columns(tuple(table), bin_rows, fingerprint, **common_fields),
-        )
+        reporting.write_float_columns(out / "analysis_bins.csv", table, fingerprint,
+                                      **common_fields)
 
         edges = binned.edges
         centers = 0.5 * (edges[:-1] + edges[1:])
         model_same, model_opp = quantum.rate_curve(internal, centers)
         denom = 2.0 * binned.n_total * np.diff(edges) * scale
-        curve_headers = ("dt_center", "rate_same", "rate_same_err", "rate_opp",
-                         "rate_opp_err", "model_same", "model_opp")
-        curve_rows = zip(
-            (centers * scale).tolist(),
-            (binned.counts_same / denom).tolist(),
-            (np.sqrt(binned.counts_same) / denom).tolist(),
-            (binned.counts_opposite / denom).tolist(),
-            (np.sqrt(binned.counts_opposite) / denom).tolist(),
-            (model_same / scale).tolist(),
-            (model_opp / scale).tolist(),
-        )
-        reporting.write_text(
-            out / "analysis_curves.csv",
-            reporting.csv_columns(curve_headers, curve_rows, fingerprint, **common_fields),
-        )
+        curves = {
+            "dt_center": centers * scale,
+            "rate_same": binned.counts_same / denom,
+            "rate_same_err": np.sqrt(binned.counts_same) / denom,
+            "rate_opp": binned.counts_opposite / denom,
+            "rate_opp_err": np.sqrt(binned.counts_opposite) / denom,
+            "model_same": model_same / scale,
+            "model_opp": model_opp / scale,
+        }
+        reporting.write_float_columns(out / "analysis_curves.csv", curves, fingerprint,
+                                      **common_fields)
 
     in_range = float(binned.counts_same.sum() + binned.counts_opposite.sum())
     summary = {
@@ -494,6 +488,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
     if any(not (math.isfinite(x) and x > 0.0) for x in x_values):
         print("error: all mixing values must be finite and positive", file=sys.stderr)
         return EXIT_CONFIG
+    _ensure_out(cfg)  # refuse an unusable --out before anything is computed
 
     headers = ("x", "max_verify_residual", "verify_passed", "fitted_delta_m",
                "fitted_delta_m_error", "chi2_dof_same", "chi2_dof_opposite", "status")

@@ -57,7 +57,8 @@ from .model import (
     flavour_window_codes,
     rho_table,
 )
-from .reporting import comment_header, float_text, format_value, open_atomic, text_rows, uint_text
+from .reporting import (TEXT_BLOCK_ROWS, comment_header, float_text, format_value, open_atomic,
+                        text_rows, uint_text)
 from .streams import uniform_pair_block
 
 __all__ = [
@@ -92,9 +93,9 @@ GENERATOR_VERSION = 2
 # event file, and read_events refuses any other
 BODY_VERSION = 1
 
-# rows formatted per block and write; bounds the text each thread holds,
-# a few MB.  No output byte depends on it.
-WRITE_CHUNK_ROWS = 16_384
+# rows formatted per block and write, as reporting formats any table;
+# bounds the text each thread holds, a few MB.  No output byte depends on it.
+WRITE_CHUNK_ROWS = TEXT_BLOCK_ROWS
 
 # events generated per block; keeps the sampler's temporaries (Philox
 # buffers included) cache-sized.  No output byte depends on it.
@@ -125,9 +126,9 @@ _COLUMNS = tuple((field, label, np.dtype(dtype)) for field, label, dtype in (
 # bytes of one event in a generated batch and in the binary body: 35
 EVENT_BYTES = sum(dtype.itemsize for _, _, dtype in _COLUMNS)
 
-# label bytes by flavour code, a reporting text matrix; code 0 is unused
-_LABEL_TEXT = np.array([b"", Flavour.B0.label.encode(), Flavour.B0BAR.label.encode()],
-                       "S5").view(np.uint8).reshape(3, 5)
+# label bytes by flavour code, right-aligned text matrix rows; code 0 is unused
+_LABEL_TEXT = np.array([b"", Flavour.B0.label.encode().rjust(5, b"\0"),
+                        Flavour.B0BAR.label.encode()], "S5").view(np.uint8).reshape(3, 5)
 
 # one parsed event row, each flavour label one byte longer than the longest,
 # so a longer field, which loadtxt truncates, still fails the label check

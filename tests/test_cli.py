@@ -14,7 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmixlhv
-from bmixlhv import analysis, cli, montecarlo
+from bmixlhv import analysis, cli, montecarlo, verification
 from bmixlhv.model import ModelParams
 from bmixlhv.montecarlo import config_fingerprint, read_events
 
@@ -405,6 +405,8 @@ def test_an_out_that_names_a_regular_file_exits_2(tmp_path, capsys, monkeypatch,
         assert run("simulate", "--events", 20000, "--seed", 4, "--out", tmp_path / "sim") == 0
     if command == "simulate":  # the directory is checked before any event is drawn
         monkeypatch.setattr(montecarlo, "generate", None)
+    if command in ("verify", "scan"):  # and before any quadrature runs
+        monkeypatch.setattr(verification, "full_verification", None)
     capsys.readouterr()
     assert run(*argv, "--out", out) == 2
     err = capsys.readouterr().err
@@ -480,12 +482,13 @@ def test_simulate_runs_far_below_the_supported_x_range(tmp_path):
 @pytest.mark.parametrize("x", [1e-10, 1e-20, 1e-200])
 def test_verify_and_scan_refuse_a_quadrature_too_fine_to_afford(tmp_path, capsys, x):
     # the phase integrals take parts x/4 wide, so quad refuses before it
-    # allocates 1e12 nodes and more: one stderr line, exit 1, no report
+    # allocates 1e12 nodes and more: one stderr line, exit 1, no report in
+    # the output directory, which verify made before it computed
     assert run("verify", "--x", x, "--out", tmp_path / "verify") == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: rho marginal normalization: more than ")
     assert err.count("\n") == 1 and out == ""
-    assert not (tmp_path / "verify").exists()
+    assert not any((tmp_path / "verify").iterdir())
     assert run("scan", x, "--events", 200, "--seed", 1, "--out", tmp_path / "scan") == 1
     (point,) = yaml.safe_load((tmp_path / "scan" / "scan_summary.yaml").read_text())["points"]
     assert point["status"].startswith("error: rho marginal normalization: more than ")

@@ -1,8 +1,12 @@
 """Column-wise number text: float_text against repr, uint_text against str."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from bmixlhv import reporting
@@ -63,10 +67,11 @@ def test_event_values_stay_in_the_kernel():
     rng = np.random.default_rng(5)
     t = -np.log1p(-rng.random(10**4))
     for values in (t, 1.5e-12 * t, 2.0 * math.pi * rng.random(10**4)):
-        digits, exponent, exact = reporting._shortest(values.view(np.uint64))
+        digits, exponent, length, exact = reporting._shortest(values.view(np.uint64))
         assert exact.mean() > 0.999
         shortest = [f"{d}e{e}" for d, e in zip(digits[exact].tolist(), exponent[exact].tolist())]
         assert list(map(float, shortest)) == values[exact].tolist()
+        assert [len(str(d)) for d in digits[exact].tolist()] == length[exact].tolist()
         _assert_repr(values)
 
 
@@ -81,3 +86,24 @@ def test_uint_text_is_str():
 def test_text_rows_join_fields_and_drop_padding():
     fields = [uint_text(np.array([7, 123], dtype=np.uint64)), float_text([0.5, 1e-7])]
     assert text_rows(fields) == b"7,0.5\n123,1e-07\n"
+
+
+def _dispatched_above_baseline() -> list[str]:
+    """The SIMD features numpy dispatches to on this CPU beyond its baseline."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return [feature for feature in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(feature) and feature not in umath.__cpu_baseline__]
+
+
+def test_kernel_is_repr_on_numpys_baseline_simd_path():
+    # numpy picks its integer and byte loops by CPU feature: rerun this file
+    # with every feature above the baseline switched off, where this test
+    # finds none and skips
+    features = _dispatched_above_baseline()
+    if not features:
+        pytest.skip("numpy dispatches no SIMD feature above its baseline on this CPU")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)}
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__],
+                           env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert " 1 skipped" in child.stdout, child.stdout
