@@ -44,19 +44,7 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 THREADS_ENV_VAR = "BMIXLHV_THREADS"
 
-DEFAULT_X = 0.776
-DEFAULT_EVENTS = 100_000
-DEFAULT_SEED = 20_260_814
-DEFAULT_BINS = 50
 DEFAULT_DT_MAX_LIFETIMES = 5.0
-DEFAULT_OUT = Path("out")
-
-_CONFIG_SECTIONS = {
-    "model": {"tau", "delta_m", "x"},
-    "simulate": {"events", "seed", "symmetrized"},
-    "analyze": {"bins", "dt_max"},
-    "output": {"out", "format", "threads"},
-}
 
 
 class ConfigError(ValueError):
@@ -89,145 +77,136 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # argument and config-file handling
 
+@dataclass(frozen=True)
+class _Option:
+    section: str  # the config-file section that holds the key
+    type: type  # of the flag's value, to which a config-file value is parsed
+    default: object  # None: resolve_config works the value out
+    help: str
+
+
+# Every option's flag is --name with "-" for "_", and its config key is name.
+_OPTIONS = {
+    "tau": _Option("model", float, 1.0, "mean lifetime (time units)"),
+    "delta_m": _Option("model", float, None, "oscillation frequency (inverse time units)"),
+    "x": _Option("model", float, 0.776, "dimensionless mixing parameter (implies tau = 1)"),
+    "out": _Option("output", Path, Path("out"), "output directory"),
+    "format": _Option("output", str, ",".join(reporting.FORMATS),
+                      "comma-separated subset of the output formats"),
+    "events": _Option("simulate", int, 100_000, "number of events to generate"),
+    "seed": _Option("simulate", int, 20_260_814, "64-bit generator seed"),
+    "symmetrized": _Option("simulate", bool, False,
+                           "randomize which side receives which decay law"),
+    "threads": _Option("output", int, None, "workers for generation and event-file formatting"),
+    "bins": _Option("analyze", int, 50, f"number of lag bins, at most {analysis.MAX_BINS}"),
+    "dt_max": _Option("analyze", float, None,
+                      f"histogram upper edge (default: {DEFAULT_DT_MAX_LIFETIMES:g} tau)"),
+}
+
+# Each command's help and the names of the options it takes, in help order.
+_COMMANDS = {
+    "verify": ("run the quadrature identity suite", "tau delta_m x out format"),
+    "simulate": ("generate an event file",
+                 "tau delta_m x out format events seed symmetrized threads"),
+    "analyze": ("bin an event file and fit the asymmetry", "tau delta_m x out format bins dt_max"),
+    "scan": ("verify + simulate + analyze per mixing value",
+             "out format events seed symmetrized threads bins dt_max"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmixlhv",
         description="Hidden-phase simulation of correlated neutral-meson pair decays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, model=True):
+    for command, (command_help, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=command_help)
         sp.add_argument("--config", type=Path, help="INI config file (flags win)")
-        if model:
-            sp.add_argument("--tau", type=float, help="mean lifetime (time units)")
-            sp.add_argument("--delta-m", type=float, dest="delta_m",
-                            help="oscillation frequency (inverse time units)")
-            sp.add_argument("--x", type=float,
-                            help="dimensionless mixing parameter (implies tau = 1)")
-        sp.add_argument("--out", type=Path, help="output directory (default: out)")
-        sp.add_argument("--format", dest="format",
-                        help="comma-separated subset of: " + ",".join(reporting.FORMATS))
-
-    def add_sim(sp):
-        sp.add_argument("--events", type=int, help="number of events to generate")
-        sp.add_argument("--seed", type=int, help="64-bit generator seed")
-        sp.add_argument("--symmetrized", action="store_const", const=True, default=None,
-                        help="randomize which side receives which decay law")
-        sp.add_argument("--threads", type=int,
-                        help="workers for generation and event-file formatting")
-
-    def add_binning(sp):
-        sp.add_argument("--bins", type=int,
-                        help=f"number of lag bins (default: 50, at most {analysis.MAX_BINS})")
-        sp.add_argument("--dt-max", type=float, dest="dt_max",
-                        help=f"histogram upper edge (default: {DEFAULT_DT_MAX_LIFETIMES:g} tau)")
-
-    sp = sub.add_parser("verify", help="run the quadrature identity suite")
-    add_common(sp)
-
-    sp = sub.add_parser("simulate", help="generate an event file")
-    add_common(sp)
-    add_sim(sp)
-
-    sp = sub.add_parser("analyze", help="bin an event file and fit the asymmetry")
-    add_common(sp)
-    add_binning(sp)
-    sp.add_argument("event_file", type=Path,
-                    help="event file from `simulate`: events.bin or events.csv")
-
-    sp = sub.add_parser("scan", help="verify + simulate + analyze per mixing value")
-    add_common(sp, model=False)
-    add_sim(sp)
-    add_binning(sp)
-    sp.add_argument("x_values", type=float, nargs="*", metavar="X",
-                    help="mixing parameter values (tau = 1 for each)")
+        for name in names.split():
+            opt = _OPTIONS[name]
+            if opt.type is bool:  # the flag sets True; a config file may say either
+                kind, text = {"action": "store_true", "default": None}, opt.help
+            else:
+                kind = {"type": opt.type}
+                text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, help=text, **kind)
+        if command == "analyze":
+            sp.add_argument("event_file", type=Path,
+                            help="event file from `simulate`: events.bin or events.csv")
+        if command == "scan":
+            sp.add_argument("x_values", type=float, nargs="*", metavar="X",
+                            help="mixing parameter values (tau = 1 for each)")
     return parser
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
+    """The file's values as text, keyed by option name."""
+    # No interpolation, so that a value means what its flag means, "%" and
+    # all; and a default section no header can name, so that [DEFAULT] is
+    # refused as an unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        with open(path, encoding="utf-8") as file:
+            parser.read_file(file)
+    except OSError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ConfigError(f"malformed config file {path}: {detail}") from None
+    values: dict[str, str] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in {opt.section for opt in _OPTIONS.values()}:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _CONFIG_SECTIONS[section]:
+            if key not in _OPTIONS or _OPTIONS[key].section != section:
                 raise ConfigError(f"unknown key {key!r} in config section [{section}]")
-            flat[key] = value
-    return flat
+            values[key] = value
+    return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _resolve_model(args, file_values) -> tuple[float, float, bool]:
-    """Returns (tau, delta_m, specified).  CLI model flags, when present,
-    replace the file's [model] section wholesale."""
-    cli = {
-        "tau": getattr(args, "tau", None),
-        "delta_m": getattr(args, "delta_m", None),
-        "x": getattr(args, "x", None),
-    }
-    if any(v is not None for v in cli.values()):
-        tau, delta_m, x = cli["tau"], cli["delta_m"], cli["x"]
-    else:
-        try:
-            tau = float(file_values["tau"]) if "tau" in file_values else None
-            delta_m = float(file_values["delta_m"]) if "delta_m" in file_values else None
-            x = float(file_values["x"]) if "x" in file_values else None
-        except ValueError as exc:
-            raise ConfigError(f"invalid model value in config file: {exc}") from None
-
-    if x is not None:
-        if tau is not None or delta_m is not None:
-            raise ConfigError("give either --x or --tau/--delta-m, not both")
-        return 1.0, x, True
-    if delta_m is not None:
-        return (tau if tau is not None else 1.0), delta_m, True
-    if tau is not None:
-        raise ConfigError("--tau needs --delta-m (or use --x)")
-    return 1.0, DEFAULT_X, False
+def _parse_value(name: str, text: str):
+    """A config-file value as its option's flag would give it."""
+    kind = _OPTIONS[name].type
+    if kind is not bool:
+        return kind(text)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def resolve_config(args) -> RunConfig:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_name, file_key, default, convert):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
+    names = _COMMANDS[args.command][1].split()
+    values = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    file_values = _read_config_file(args.config) if args.config else {}
+    model = [name for name, opt in _OPTIONS.items() if opt.section == "model"]
+    if any(name in values for name in model):  # model flags replace the file's [model] wholesale
+        file_values = {k: v for k, v in file_values.items() if k not in model}
+    if "threads" not in names:  # verify and analyze run on one thread and take no worker count
+        values["threads"] = 1
+    for name, text in file_values.items():
+        if name not in values:  # a flag wins; its key's value is never parsed
             try:
-                return convert(file_values[file_key])
+                values[name] = _parse_value(name, text)
             except ValueError as exc:
-                raise ConfigError(f"invalid config value for {file_key!r}: {exc}") from None
-        return default
+                raise ConfigError(f"invalid config value for {name!r}: {exc}") from None
 
-    tau, delta_m, specified = _resolve_model(args, file_values)
+    given = [name for name in model if name in values]
+    if "x" in given and len(given) > 1:
+        raise ConfigError("give either --x or --tau/--delta-m, not both")
+    if given == ["tau"]:
+        raise ConfigError("--tau needs --delta-m (or use --x)")
+    values = {name: values.get(name, opt.default) for name, opt in _OPTIONS.items()}
     try:
-        params = ModelParams(tau, delta_m)
+        params = ModelParams(values["tau"],
+                             values["x"] if values["delta_m"] is None else values["delta_m"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    n_events = pick("events", "events", DEFAULT_EVENTS, int)
-    seed = pick("seed", "seed", DEFAULT_SEED, int)
-    symmetrized = pick("symmetrized", "symmetrized", False, _parse_bool)
-    bins = pick("bins", "bins", DEFAULT_BINS, int)
-    dt_max = pick("dt_max", "dt_max", None, float)
-    out_dir = Path(pick("out", "out", DEFAULT_OUT, Path))
-    formats_text = pick("format", "format", ",".join(reporting.FORMATS), str)
+    n_events, seed, bins, dt_max = (values[k] for k in ("events", "seed", "bins", "dt_max"))
+    threads = values["threads"]
     env_threads = os.environ.get(THREADS_ENV_VAR)
-    # verify and analyze run on one thread and take no worker count
-    threads = pick("threads", "threads", None, int) if hasattr(args, "threads") else 1
     if threads is None and env_threads is not None:
         try:
             threads = int(env_threads)
@@ -239,7 +218,7 @@ def resolve_config(args) -> RunConfig:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 
-    requested = [f.strip() for f in formats_text.split(",") if f.strip()]
+    requested = [f.strip() for f in values["format"].split(",") if f.strip()]
     unknown = [f for f in requested if f not in reporting.FORMATS]
     if unknown:
         raise ConfigError(f"unknown output format(s): {unknown}")
@@ -267,13 +246,13 @@ def resolve_config(args) -> RunConfig:
 
     return RunConfig(
         params=params,
-        model_specified=specified,
+        model_specified=bool(given),
         n_events=n_events,
         seed=seed,
-        symmetrized=bool(symmetrized),
+        symmetrized=values["symmetrized"],
         bins=bins,
         dt_max=dt_max,
-        out_dir=out_dir,
+        out_dir=values["out"],
         formats=formats,
         threads=threads,
     )
@@ -387,21 +366,15 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     try:
         batch = montecarlo.read_events(event_file)
     except OSError as exc:
-        print(f"error: cannot read event file {event_file}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read event file {event_file}: {exc.strerror or exc}") from None
     except montecarlo.EventFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
     physical = batch.config.params
     if cfg.model_specified and cfg.params != physical:
-        print(
-            "error: event file parameters "
+        raise ConfigError(
+            "event file parameters "
             f"(tau={physical.tau!r}, delta_m={physical.delta_m!r}) do not match the "
-            f"requested (tau={cfg.params.tau!r}, delta_m={cfg.params.delta_m!r})",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+            f"requested (tau={cfg.params.tau!r}, delta_m={cfg.params.delta_m!r})")
 
     scale = physical.tau
     internal = ModelParams(1.0, physical.x)
@@ -409,11 +382,7 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
         for times in (batch.t1, batch.t2):
             times *= 1.0 / scale
     dt_max = cfg.dt_max_for(scale)
-    try:
-        binned, fit = _bin_and_fit(batch, internal, cfg.bins, dt_max / scale)
-    except analysis.FitRefusedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    binned, fit = _bin_and_fit(batch, internal, cfg.bins, dt_max / scale)
 
     fingerprint = reporting.fingerprint_of_mapping(
         {
@@ -483,11 +452,9 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
 
 def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
     if not x_values:
-        print("error: scan needs at least one mixing value", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("scan needs at least one mixing value")
     if any(not (math.isfinite(x) and x > 0.0) for x in x_values):
-        print("error: all mixing values must be finite and positive", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("all mixing values must be finite and positive")
     _ensure_out(cfg)  # refuse an unusable --out before anything is computed
 
     headers = ("x", "max_verify_residual", "verify_passed", "fitted_delta_m",
@@ -544,11 +511,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "simulate":
@@ -557,7 +519,8 @@ def main(argv=None) -> int:
             return cmd_analyze(cfg, args.event_file)
         if args.command == "scan":
             return cmd_scan(cfg, args.x_values)
-    except (verification.QuadratureError, montecarlo.RejectionOverflowError) as exc:
+    except (verification.QuadratureError, montecarlo.RejectionOverflowError,
+            analysis.FitRefusedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ConfigError as exc:

@@ -333,6 +333,78 @@ def test_config_file_errors(tmp_path):
     assert run("simulate", "--config", conflicted, "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("text, error", [
+    (b"events = 7\n", "malformed config file"),  # no section header
+    (b"[simulate]\nevents = 7\nevents = 8\n", "malformed config file"),  # a key twice
+    (b"[simulate]\nevents = 7\n[simulate]\nseed = 3\n", "malformed config file"),
+    (b"[simulate]\nevents\n", "malformed config file"),  # a line with no "="
+    (b"[simulate]\nevents = 7\xff\n", "malformed config file"),  # not UTF-8
+    # a [DEFAULT] would reach every section, or none when it stands alone
+    (b"[DEFAULT]\nevents = 7\n", "unknown config section [DEFAULT]"),
+    (b"[DEFAULT]\nevents = 7\n[simulate]\nseed = 3\n", "unknown config section [DEFAULT]"),
+    # a value takes what its flag takes, "%" included
+    (b"[simulate]\nevents = 50\n[output]\nout = run%1\n", None),
+])
+def test_config_file_syntax(tmp_path, capsys, monkeypatch, text, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_bytes(text)
+    capsys.readouterr()
+    code = run("simulate", "--config", "run.ini")
+    err = capsys.readouterr().err
+    if error is None:
+        assert (code, err) == (0, "")
+        assert (tmp_path / "run%1" / "events.bin").is_file()
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+
+# Each case sets one option by its flag and by its config key; written out,
+# not derived from cli._OPTIONS, so that the table is checked against intent.
+_MODEL_CASES = [
+    (["--x", "0.9"], "[model]\nx = 0.9\n"),
+    (["--delta-m", "0.5"], "[model]\ndelta_m = 0.5\n"),
+    (["--tau", "2.5", "--delta-m", "0.5"], "[model]\ntau = 2.5\ndelta_m = 0.5\n"),
+]
+_OUTPUT_CASES = [
+    (["--out", "elsewhere"], "[output]\nout = elsewhere\n"),
+    (["--format", "machine-tree,table-text"], "[output]\nformat = machine-tree,table-text\n"),
+]
+_SIMULATE_CASES = [
+    (["--events", "1234"], "[simulate]\nevents = 1234\n"),
+    (["--seed", "99"], "[simulate]\nseed = 99\n"),
+    (["--threads", "3"], "[output]\nthreads = 3\n"),
+    *[(["--symmetrized"], f"[simulate]\nsymmetrized = {word}\n")
+      for word in ("1", "yes", "True", "ON")],
+    *[([], f"[simulate]\nsymmetrized = {word}\n") for word in ("0", "no", "False", "OFF")],
+]
+_ANALYZE_CASES = [
+    (["--bins", "20"], "[analyze]\nbins = 20\n"),
+    (["--dt-max", "3.5"], "[analyze]\ndt_max = 3.5\n"),
+]
+
+
+@pytest.mark.parametrize("command, flags, ini", [
+    *[("verify", *case) for case in _MODEL_CASES + _OUTPUT_CASES],
+    *[("simulate", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _SIMULATE_CASES],
+    *[("analyze events.bin", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
+    *[("scan 0.776", *case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
+])
+def test_a_flag_and_its_config_key_agree(tmp_path, monkeypatch, command, flags, ini):
+    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+    config = tmp_path / "run.ini"
+    config.write_text(ini)
+
+    def resolved(*argv):
+        return cli.resolve_config(cli.build_parser().parse_args([*command.split(), *argv]))
+
+    by_flag = resolved(*flags)
+    assert resolved("--config", str(config)) == by_flag
+    if flags:
+        assert by_flag != resolved()
+
+
 def test_format_subsets(tmp_path):
     out = tmp_path / "yamlonly"
     assert run("simulate", "--x", 0.776, "--events", 30, "--seed", 1,
