@@ -264,10 +264,11 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     groups serve both chi-square statistics and the asymmetry fit, and the
     expectations are normalized to each class's observed in-range total
     (shape comparison).  dof = groups - 2: one for that normalization, one
-    for the fitted delta_m.  The fit minimizes the weighted squared
-    difference between per-group asymmetries and their exact group-averaged
-    model values, scanning delta_m on [0.5, 1.5] times the reference and
-    refining the best interior scan point by golden section.  The two
+    for the fitted delta_m.  The fit maximizes the binomial likelihood of
+    each group's opposite/same split under its exact group-averaged model
+    asymmetry, scanning delta_m on [0.5, 1.5] times the reference and
+    refining the best interior scan point by golden section; the error is
+    1/sqrt of the curvature of -log L at the minimum.  The two
     p-values are the chi-square survival function at dof, summed from its
     closed form by :func:`_chi2_sf`.
 
@@ -317,14 +318,21 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     if np.any(obs_same + obs_opp == 0.0):
         raise FitRefusedError("a merged group contains no events")
-    asym, variance = _asymmetry(obs_same, obs_opp)
+    asym, _ = _asymmetry(obs_same, obs_opp)
 
     tau = params.tau
     exp_seg = _exp_segment(group_lo, group_hi, tau)
 
     def objective(dm: float) -> float:
+        # -log L less its value at a perfect fit, half the binomial deviance:
+        # sum n_opp log((1+a)/(1+m)) + n_same log((1-a)/(1-m)), 0 log 0 = 0; as
+        # log1p((a-m)/(1+-m)), whose rounding shrinks with a - m, for golden's precision
         model = _exp_cos_segment(group_lo, group_hi, tau, dm) / exp_seg
-        return float(np.sum((asym - model) ** 2 / variance))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            opp = obs_opp * np.log1p((asym - model) / (1.0 + model))
+            same = obs_same * np.log1p((model - asym) / (1.0 - model))
+        terms = np.where(obs_opp > 0.0, opp, 0.0) + np.where(obs_same > 0.0, same, 0.0)
+        return float(np.sum(terms))
 
     scan = np.linspace(0.5 * params.delta_m, 1.5 * params.delta_m, 201)
     values = np.array([objective(dm) for dm in scan])
@@ -338,7 +346,7 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     h = max(1e-4 * fitted, 1e-10)
     curvature = (objective(fitted + h) - 2.0 * objective(fitted) + objective(fitted - h)) / h**2
-    error = math.sqrt(2.0 / curvature) if curvature > 0.0 else math.inf
+    error = math.sqrt(1.0 / curvature) if curvature > 0.0 else math.inf
 
     return FitResult(
         chi2_same=chi2_same,

@@ -42,8 +42,6 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
-THREADS_ENV_VAR = "BMIXLHV_THREADS"
-
 DEFAULT_DT_MAX_LIFETIMES = 5.0
 
 
@@ -61,7 +59,6 @@ class RunConfig:
     bins: int
     dt_max: float | None  # physical units; None means DEFAULT_DT_MAX_LIFETIMES * tau
     out_dir: Path
-    formats: tuple[str, ...]
     threads: int
 
     def sim_config(self, params: ModelParams) -> SimConfig:
@@ -91,8 +88,6 @@ _OPTIONS = {
     "delta_m": _Option("model", float, None, "oscillation frequency (inverse time units)"),
     "x": _Option("model", float, 0.776, "dimensionless mixing parameter (implies tau = 1)"),
     "out": _Option("output", Path, Path("out"), "output directory"),
-    "format": _Option("output", str, ",".join(reporting.FORMATS),
-                      "comma-separated subset of the output formats"),
     "events": _Option("simulate", int, 100_000, "number of events to generate"),
     "seed": _Option("simulate", int, 20_260_814, "64-bit generator seed"),
     "symmetrized": _Option("simulate", bool, False,
@@ -105,17 +100,21 @@ _OPTIONS = {
 
 # Each command's help and the names of the options it takes, in help order.
 _COMMANDS = {
-    "verify": ("run the quadrature identity suite", "tau delta_m x out format"),
-    "simulate": ("generate an event file",
-                 "tau delta_m x out format events seed symmetrized threads"),
-    "analyze": ("bin an event file and fit the asymmetry", "tau delta_m x out format bins dt_max"),
+    "verify": ("run the quadrature identity suite", "tau delta_m x out"),
+    "simulate": ("generate an event file", "tau delta_m x out events seed symmetrized threads"),
+    "analyze": ("bin an event file and fit the asymmetry", "tau delta_m x out bins dt_max"),
     "scan": ("verify + simulate + analyze per mixing value",
-             "out format events seed symmetrized threads bins dt_max"),
+             "out events seed symmetrized threads bins dt_max"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, as main gives every other usage error
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bmixlhv",
         description="Hidden-phase simulation of correlated neutral-meson pair decays.",
     )
@@ -149,8 +148,10 @@ def _read_config_file(path: Path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as file:
             parser.read_file(file)
-    except OSError:
+    except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say, or a file this process may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # configparser's messages span lines
         raise ConfigError(f"malformed config file {path}: {detail}") from None
@@ -204,27 +205,13 @@ def resolve_config(args) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    n_events, seed, bins, dt_max = (values[k] for k in ("events", "seed", "bins", "dt_max"))
-    threads = values["threads"]
-    env_threads = os.environ.get(THREADS_ENV_VAR)
-    if threads is None and env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"invalid {THREADS_ENV_VAR}={env_threads!r}") from None
+    n_events, seed, bins, dt_max, threads = (
+        values[k] for k in ("events", "seed", "bins", "dt_max", "threads"))
     if threads is None:
         # the CPUs this process may run on, which taskset or a cpuset can
         # narrow below os.cpu_count()
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-
-    requested = [f.strip() for f in values["format"].split(",") if f.strip()]
-    unknown = [f for f in requested if f not in reporting.FORMATS]
-    if unknown:
-        raise ConfigError(f"unknown output format(s): {unknown}")
-    formats = tuple(f for f in reporting.FORMATS if f in requested)
-    if not formats:
-        raise ConfigError("at least one output format is required")
 
     if n_events < 1:
         raise ConfigError(f"events must be at least 1, got {n_events}")
@@ -253,7 +240,6 @@ def resolve_config(args) -> RunConfig:
         bins=bins,
         dt_max=dt_max,
         out_dir=values["out"],
-        formats=formats,
         threads=threads,
     )
 
@@ -273,21 +259,16 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 
 def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
-          tree, header_fields, formats=None) -> list[Path]:
-    """Write one logical artifact in each requested applicable format."""
+          tree, header_fields, csv: bool = True) -> None:
+    """Write one logical artifact as stem.txt, stem.yaml and, if ``csv``, stem.csv."""
     out = _ensure_out(cfg)
-    written = []
-    for fmt in formats if formats is not None else cfg.formats:
-        path = out / (stem + reporting.FORMAT_SUFFIX[fmt])
-        if fmt == "table-text":
-            text = reporting.table_text(headers, rows, fingerprint, **header_fields)
-        elif fmt == "machine-tree":
-            text = reporting.yaml_tree(tree, fingerprint, **header_fields)
-        else:
-            text = reporting.csv_columns(headers, rows, fingerprint, **header_fields)
-        reporting.write_text(path, text)
-        written.append(path)
-    return written
+    reporting.write_text(out / f"{stem}.txt",
+                         reporting.table_text(headers, rows, fingerprint, **header_fields))
+    reporting.write_text(out / f"{stem}.yaml",
+                         reporting.yaml_tree(tree, fingerprint, **header_fields))
+    if csv:
+        reporting.write_text(out / f"{stem}.csv",
+                             reporting.csv_columns(headers, rows, fingerprint, **header_fields))
 
 
 def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: float):
@@ -351,13 +332,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "event_file": event_path.name,
         **batch.rng_stats.as_dict(),
     }
-    fingerprint = batch.config_fingerprint
-    headers = ("key", "value")
     rows = [(k, manifest[k]) for k in sorted(manifest)]
-    manifest_formats = tuple(f for f in cfg.formats if f != "delimited-columns")
-    if manifest_formats:
-        _emit(cfg, "manifest", fingerprint, headers, rows, manifest,
-              {}, formats=manifest_formats)
+    _emit(cfg, "manifest", batch.config_fingerprint, ("key", "value"), rows, manifest, {},
+          csv=False)
     print(f"simulated {cfg.n_events} events -> {event_path}")
     return EXIT_OK
 
@@ -397,29 +374,27 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     common_fields = {"tau": physical.tau, "delta_m": physical.delta_m, "x": physical.x,
                      "event_fingerprint": batch.config_fingerprint}
 
-    # per-bin table and plot-ready curves, physical units, delimited only
-    if "delimited-columns" in cfg.formats:
-        out = _ensure_out(cfg)
-        table = analysis.bin_table(binned, internal)
-        table["dt_lo"], table["dt_hi"] = table["dt_lo"] * scale, table["dt_hi"] * scale
-        reporting.write_float_columns(out / "analysis_bins.csv", table, fingerprint,
-                                      **common_fields)
+    # per-bin table and plot-ready curves, physical units, CSV only
+    out = _ensure_out(cfg)
+    table = analysis.bin_table(binned, internal)
+    table["dt_lo"], table["dt_hi"] = table["dt_lo"] * scale, table["dt_hi"] * scale
+    reporting.write_float_columns(out / "analysis_bins.csv", table, fingerprint, **common_fields)
 
-        edges = binned.edges
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        model_same, model_opp = quantum.rate_curve(internal, centers)
-        denom = 2.0 * binned.n_total * np.diff(edges) * scale
-        curves = {
-            "dt_center": centers * scale,
-            "rate_same": binned.counts_same / denom,
-            "rate_same_err": np.sqrt(binned.counts_same) / denom,
-            "rate_opp": binned.counts_opposite / denom,
-            "rate_opp_err": np.sqrt(binned.counts_opposite) / denom,
-            "model_same": model_same / scale,
-            "model_opp": model_opp / scale,
-        }
-        reporting.write_float_columns(out / "analysis_curves.csv", curves, fingerprint,
-                                      **common_fields)
+    edges = binned.edges
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    model_same, model_opp = quantum.rate_curve(internal, centers)
+    denom = 2.0 * binned.n_total * np.diff(edges) * scale
+    curves = {
+        "dt_center": centers * scale,
+        "rate_same": binned.counts_same / denom,
+        "rate_same_err": np.sqrt(binned.counts_same) / denom,
+        "rate_opp": binned.counts_opposite / denom,
+        "rate_opp_err": np.sqrt(binned.counts_opposite) / denom,
+        "model_same": model_same / scale,
+        "model_opp": model_opp / scale,
+    }
+    reporting.write_float_columns(out / "analysis_curves.csv", curves, fingerprint,
+                                  **common_fields)
 
     in_range = float(binned.counts_same.sum() + binned.counts_opposite.sum())
     summary = {
@@ -437,9 +412,8 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
         "true_delta_m": physical.delta_m,
         "n_groups": fit.n_groups,
     }
-    headers = ("key", "value")
     rows = [(k, summary[k]) for k in sorted(summary)]
-    _emit(cfg, "analysis_fit", fingerprint, headers, rows, summary, common_fields)
+    _emit(cfg, "analysis_fit", fingerprint, ("key", "value"), rows, summary, common_fields)
     print(
         f"fitted delta_m = {summary['fitted_delta_m']!r} "
         f"+/- {summary['fitted_delta_m_error']!r} "

@@ -1,11 +1,10 @@
-"""Byte-deterministic emission of reports in the three output formats.
+"""Byte-deterministic emission of reports as text.
 
-Formats: ``table-text`` (aligned, human-readable), ``machine-tree`` (YAML —
-chosen over JSON because every artifact must open with a ``# fingerprint=``
-comment line, which YAML tolerates and JSON cannot), and
-``delimited-columns`` (CSV).  No timestamps, no environment-dependent
-values; floats are serialized with ``repr`` (shortest round-trip form), so
-identical inputs give identical bytes.
+Reports are aligned text (``.txt``), YAML (``.yaml`` — chosen over JSON
+because every artifact must open with a ``# fingerprint=`` comment line,
+which YAML tolerates and JSON cannot) and CSV (``.csv``).  No timestamps,
+no environment-dependent values; floats are serialized with ``repr``
+(shortest round-trip form), so identical inputs give identical bytes.
 
 Whole float columns take the same text from :func:`float_text`, which runs
 Dragonbox (Junekey Jeon, 2020, https://github.com/jk-jeon/dragonbox) on
@@ -28,7 +27,6 @@ import numpy as np
 import yaml
 
 __all__ = [
-    "FORMATS",
     "comment_header",
     "csv_columns",
     "fingerprint_of_mapping",
@@ -43,14 +41,7 @@ __all__ = [
     "yaml_tree",
 ]
 
-FORMATS = ("table-text", "machine-tree", "delimited-columns")
 TEXT_BLOCK_ROWS = 16_384  # rows formatted at a time; 8192 is as fast, 4096 40 % slower
-
-FORMAT_SUFFIX = {
-    "table-text": ".txt",
-    "machine-tree": ".yaml",
-    "delimited-columns": ".csv",
-}
 
 
 def fingerprint_of_mapping(mapping: dict) -> str:

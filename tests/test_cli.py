@@ -145,9 +145,9 @@ def test_analyze_adopts_file_parameters(tmp_path):
 GOLDEN_ANALYSIS_SHA256 = {
     "analysis_bins.csv": "7b8c02158e01324eb760463ea733ea9aeff57eb9d4f525d1295e68d2ddf86784",
     "analysis_curves.csv": "113dfe1b15c43adafdba84344c52e924375f857e422e1dd74388866854192451",
-    "analysis_fit.csv": "5647914be4deae7b23e4b6820dec399edcdddf7fd6424e5d95c1ebffba57679c",
-    "analysis_fit.txt": "d3236902feb42097b7c9bddbe5ef8947b2376016bed06b9095e66a387a319c89",
-    "analysis_fit.yaml": "be2da7510339c8ebe25ebe184cbfb5da2d2ec586a4bc10f1eaf1ed40bec1ed76",
+    "analysis_fit.csv": "081fe75e9b383162352ea95bb861e193e2990a562a64f5df7394f015fd98b8a1",
+    "analysis_fit.txt": "86df53d63f4f81476bd2d1abe5ab66e5d3c2982a384a1c8e7f2757e7c991d409",
+    "analysis_fit.yaml": "6a1c158cf1d0bc8a3d5429f0a496564b69c8aae9f34d06de393dd5d27499b869",
 }
 
 
@@ -232,9 +232,8 @@ def test_threads_is_an_option_of_the_generating_commands_only(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-def test_commands_without_threads_read_no_worker_count(tmp_path, monkeypatch):
-    # a shared config file or environment may set one, even a bad one
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "not-a-number")
+def test_commands_without_threads_read_no_worker_count(tmp_path):
+    # a shared config file may set one, even a bad one
     config = tmp_path / "run.ini"
     config.write_text("[output]\nthreads = 0\n")
     for argv in (["verify"], ["analyze", "events.bin"]):
@@ -242,22 +241,8 @@ def test_commands_without_threads_read_no_worker_count(tmp_path, monkeypatch):
         assert cli.resolve_config(args).threads == 1
 
 
-def test_threads_env_var_is_honoured(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-    args = ("simulate", "--x", 0.776, "--events", 1000, "--seed", 14)
-    assert run(*args, "--out", tmp_path / "env") == 0
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "not-a-number")
-    assert run(*args, "--out", tmp_path / "bad") == 2
-    monkeypatch.delenv(cli.THREADS_ENV_VAR)
-    assert run(*args, "--out", tmp_path / "plain") == 0
-    assert (tmp_path / "env" / "events.csv").read_bytes() == (
-        tmp_path / "plain" / "events.csv"
-    ).read_bytes()
-
-
 def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
     # under taskset or a cpuset the machine's CPU count over-subscribes
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     args = cli.build_parser().parse_args(["simulate", "--x", "0.776"])
@@ -333,6 +318,47 @@ def test_config_file_errors(tmp_path):
     assert run("simulate", "--config", conflicted, "--out", tmp_path / "o") == 2
 
 
+def test_a_config_path_that_cannot_be_read_exits_2(tmp_path, capsys, monkeypatch):
+    def one_error_line(config):
+        capsys.readouterr()
+        assert run("verify", "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        return err
+
+    missing = tmp_path / "nope.ini"
+    assert one_error_line(missing) == f"error: config file not found: {missing}\n"
+    assert one_error_line(tmp_path) == (
+        f"error: cannot read config file {tmp_path}: Is a directory\n")
+    unreadable = tmp_path / "run.ini"
+    unreadable.write_text("[simulate]\nevents = 7\n")
+
+    def denied(path, *args, **kwargs):  # a file mode that root would read through
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    assert one_error_line(unreadable) == (
+        f"error: cannot read config file {unreadable}: Permission denied\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_removed_format_option_and_threads_variable(tmp_path, capsys, monkeypatch):
+    # every command writes all its formats: --format and its key are unknown
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--format", "machine-tree", "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --format machine-tree\n"
+    config = tmp_path / "run.ini"
+    config.write_text("[output]\nformat = machine-tree\n")
+    assert run("simulate", "--config", config, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == "error: unknown key 'format' in config section [output]\n"
+    assert not (tmp_path / "o").exists()
+    # the worker count comes from --threads, the threads key or the CPUs alone
+    monkeypatch.setenv("BMIXLHV_THREADS", "not-a-number")
+    args = cli.build_parser().parse_args(["simulate", "--threads", "3"])
+    assert cli.resolve_config(args).threads == 3
+
+
 @pytest.mark.parametrize("text, error", [
     (b"events = 7\n", "malformed config file"),  # no section header
     (b"[simulate]\nevents = 7\nevents = 8\n", "malformed config file"),  # a key twice
@@ -369,7 +395,7 @@ _MODEL_CASES = [
 ]
 _OUTPUT_CASES = [
     (["--out", "elsewhere"], "[output]\nout = elsewhere\n"),
-    (["--format", "machine-tree,table-text"], "[output]\nformat = machine-tree,table-text\n"),
+    (["--out", "run%1"], "[output]\nout = run%1\n"),  # no "%" interpolation
 ]
 _SIMULATE_CASES = [
     (["--events", "1234"], "[simulate]\nevents = 1234\n"),
@@ -391,8 +417,7 @@ _ANALYZE_CASES = [
     *[("analyze events.bin", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
     *[("scan 0.776", *case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
 ])
-def test_a_flag_and_its_config_key_agree(tmp_path, monkeypatch, command, flags, ini):
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
+def test_a_flag_and_its_config_key_agree(tmp_path, command, flags, ini):
     config = tmp_path / "run.ini"
     config.write_text(ini)
 
@@ -403,28 +428,6 @@ def test_a_flag_and_its_config_key_agree(tmp_path, monkeypatch, command, flags, 
     assert resolved("--config", str(config)) == by_flag
     if flags:
         assert by_flag != resolved()
-
-
-def test_format_subsets(tmp_path):
-    out = tmp_path / "yamlonly"
-    assert run("simulate", "--x", 0.776, "--events", 30, "--seed", 1,
-               "--format", "machine-tree", "--out", out) == 0
-    assert (out / "events.csv").exists()  # the event file itself is always written
-    assert (out / "manifest.yaml").exists()
-    assert not (out / "manifest.txt").exists()
-
-    fit_out = tmp_path / "csvonly"
-    sim = tmp_path / "sim"
-    assert run("simulate", "--x", 0.776, "--events", 20000, "--seed", 4, "--out", sim) == 0
-    assert run("analyze", sim / "events.csv", "--format", "delimited-columns",
-               "--out", fit_out) == 0
-    assert (fit_out / "analysis_fit.csv").exists()
-    assert (fit_out / "analysis_bins.csv").exists()
-    assert not (fit_out / "analysis_fit.yaml").exists()
-    assert not (fit_out / "analysis_fit.txt").exists()
-
-    assert run("simulate", "--x", 0.776, "--events", 10, "--format", "pdf",
-               "--out", tmp_path / "bad") == 2
 
 
 # ---------------------------------------------------------------------------
