@@ -323,19 +323,20 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     tau = params.tau
     exp_seg = _exp_segment(group_lo, group_hi, tau)
 
-    def objective(dm: float) -> float:
+    def objective(dm):
         # -log L less its value at a perfect fit, half the binomial deviance:
         # sum n_opp log((1+a)/(1+m)) + n_same log((1-a)/(1-m)), 0 log 0 = 0; as
-        # log1p((a-m)/(1+-m)), whose rounding shrinks with a - m, for golden's precision
+        # log1p((a-m)/(1+-m)), whose rounding shrinks with a - m, for golden's precision;
+        # a column of delta_m values gives one sum per row, each as a scalar gives it
         model = _exp_cos_segment(group_lo, group_hi, tau, dm) / exp_seg
         with np.errstate(divide="ignore", invalid="ignore"):
             opp = obs_opp * np.log1p((asym - model) / (1.0 + model))
             same = obs_same * np.log1p((model - asym) / (1.0 - model))
         terms = np.where(obs_opp > 0.0, opp, 0.0) + np.where(obs_same > 0.0, same, 0.0)
-        return float(np.sum(terms))
+        return np.sum(terms, axis=-1)
 
     scan = np.linspace(0.5 * params.delta_m, 1.5 * params.delta_m, 201)
-    values = np.array([objective(dm) for dm in scan])
+    values = objective(scan[:, None])
     j = int(np.argmin(values))
     if not (0 < j < scan.size - 1 and values[j] < values[j - 1] and values[j] < values[j + 1]):
         raise FitRefusedError(

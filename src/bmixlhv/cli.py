@@ -436,25 +436,40 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
     rows = []
     all_ok = True
     dt_max = cfg.dt_max_for(1.0)
-    for x in x_values:
-        params = ModelParams(1.0, x)
+
+    def verify(params):  # errors are returned, so that neither map stops early
         try:
-            report = verification.full_verification(params)
+            return verification.full_verification(params)
+        except verification.QuadratureError as exc:
+            return exc
+
+    def sample(params):  # and only the fit, so that no batch outlives its x
+        try:
             batch = montecarlo.generate(cfg.sim_config(params), workers=cfg.threads)
-            _, fit = _bin_and_fit(batch, params, cfg.bins, dt_max)
-        except (verification.QuadratureError, montecarlo.RejectionOverflowError,
-                analysis.FitRefusedError) as exc:
-            rows.append((x, math.nan, False, math.nan, math.nan, math.nan, math.nan,
-                         f"error: {exc}"))
-            all_ok = False
-            continue
-        ok = report.all_passed
-        rows.append(
-            (x, report.max_residual, ok, fit.fitted_delta_m, fit.fitted_delta_m_error,
-             fit.chi2_same / fit.dof, fit.chi2_opposite / fit.dof,
-             "ok" if ok else "verify-failed")
-        )
-        all_ok = all_ok and ok
+            return _bin_and_fit(batch, params, cfg.bins, dt_max)[1]
+        except (montecarlo.RejectionOverflowError, analysis.FitRefusedError) as exc:
+            return exc
+
+    # Every x's quadrature runs on one thread beside every x's sampling on
+    # another.  This thread only collects the results in x order and opens no
+    # span: perfbench's tracer hangs a pool thread's spans under this thread's.
+    params = [ModelParams(1.0, x) for x in x_values]
+    with montecarlo._thread_map(verify, 1, params) as reports, \
+            montecarlo._thread_map(sample, 1, params) as fits:
+        for x, report, fit in zip(x_values, reports, fits):
+            error = next((r for r in (report, fit) if isinstance(r, Exception)), None)
+            if error is not None:  # the verification error first, as when x ran in turn
+                rows.append((x, math.nan, False, math.nan, math.nan, math.nan, math.nan,
+                             f"error: {error}"))
+                all_ok = False
+                continue
+            ok = report.all_passed
+            rows.append(
+                (x, report.max_residual, ok, fit.fitted_delta_m, fit.fitted_delta_m_error,
+                 fit.chi2_same / fit.dof, fit.chi2_opposite / fit.dof,
+                 "ok" if ok else "verify-failed")
+            )
+            all_ok = all_ok and ok
 
     fingerprint = reporting.fingerprint_of_mapping(
         {

@@ -6,9 +6,9 @@ re-derived by quadrature of the model-core functions.  One fixed-order rule,
 between the known kinks (window edges, clipped-cosine zeros), with the
 10-point rule on the same parts as its error estimate.  The densities take
 arrays, so every integral of a check, over all its grid points at once, is
-one array evaluation.  A whole :func:`full_verification` takes about
-0.1 s at x <= 5 and about 10 s at x = 1000 on a 2-vCPU host.  Results are
-collected into a :class:`QuadratureReport` of named checks.
+one array evaluation.  A whole :func:`full_verification` takes 45-70 ms at
+x <= 5 and about 5 s at x = 1000 on a 2-vCPU host.  Results are collected
+into a :class:`QuadratureReport` of named checks.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ QUAD_GUARD = 1e-9
 # them (about 200 MiB of temporaries); the largest at x = 1000 takes 0.4 M,
 # and x = 1e-4 would take 7.5 M
 QUAD_MAX_NODES = 2**22
+# most nodes per quad call of check_normalizations' phases, one phase at least
+PHASE_PASS_NODES = 2**15
 
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
@@ -259,25 +261,26 @@ def check_normalizations(params: ModelParams) -> QuadratureReport:
     period = math.pi / dm
     n_flips = math.ceil(t_max / period) + 1
     time_width = min(tau, period)
-    for j in range(LAMBDA_SAMPLES):
-        lam = (j + 0.5) * TWO_PI / LAMBDA_SAMPLES
+    # a phase's row: n_flips + 1 pieces of at most ceil(period / time_width) 20-node
+    # parts; a call's rows share one part count, each row's own if each has a whole period
+    row_nodes = 20 * (n_flips + 1) * math.ceil(period / time_width)
+    step = max(1, PHASE_PASS_NODES // row_nodes) if 2.0 * period <= t_max else 1
+    lams = (np.arange(LAMBDA_SAMPLES) + 0.5) * TWO_PI / LAMBDA_SAMPLES
+    p_total, q_total = np.empty(LAMBDA_SAMPLES), np.empty(LAMBDA_SAMPLES)
+    for start in range(0, LAMBDA_SAMPLES, step):
+        lam = lams[start:start + step, None]
         flips = ((lam - HALF_PI) % math.pi) / dm + np.arange(n_flips) * period
-        edges = np.concatenate([[0.0], np.minimum(flips, t_max), [t_max]])
-
-        p_total = quad(lambda t: sum(p_density(k, lam, t, params) for k in Flavour),
-                       edges, time_width, f"first-side normalization lam={lam!r}")
-        report.add(
-            f"p_normalization/lambda_{j:03d}", 1.0, p_total, NORMALIZATION_TOLERANCE
-        )
-
-        q_total = quad(lambda t: sum(q_shape(l, lam, t, params) for l in Flavour),
-                       edges, time_width, f"second-side normalization lam={lam!r}")
-        report.add(
-            f"q_normalization/lambda_{j:03d}",
-            1.0,
-            q_total / inverse_n(lam, params),
-            NORMALIZATION_TOLERANCE,
-        )
+        edges = np.pad(np.minimum(flips, t_max), ((0, 0), (1, 1)), constant_values=(0.0, t_max))
+        p_total[start:start + step] = quad(
+            lambda t: sum(p_density(k, lam, t, params) for k in Flavour), edges, time_width,
+            f"first-side normalization lam={float(lams[start])!r}")
+        q_total[start:start + step] = quad(
+            lambda t: sum(q_shape(l, lam, t, params) for l in Flavour), edges, time_width,
+            f"second-side normalization lam={float(lams[start])!r}")
+    q_total /= inverse_n(lams, params)
+    for j in range(LAMBDA_SAMPLES):
+        report.add(f"p_normalization/lambda_{j:03d}", 1.0, p_total[j], NORMALIZATION_TOLERANCE)
+        report.add(f"q_normalization/lambda_{j:03d}", 1.0, q_total[j], NORMALIZATION_TOLERANCE)
 
     report.add(
         "time_cutoff_tail_bound",

@@ -330,6 +330,16 @@ def test_fit_refuses_a_delta_m_outside_the_scan(true_dm):
     assert goodness_of_fit(inside, DEFAULT).fitted_delta_m == pytest.approx(1.1, abs=1e-9)
 
 
+def test_exact_counts_fit_within_the_golden_tolerance_across_the_scan():
+    # exact counts at 56 truths inside the scanned range, each fitted with the
+    # 0.776 reference: golden section stops once its bracket is _GOLDEN_XTOL
+    # wide relative to the point, so that, not an absolute 1e-9, is the
+    # precision of a fit.  22 of these miss 1e-9; the worst is 4.3e-9 off
+    for true_dm in np.round(np.arange(0.6, 1.155, 0.01), 2):
+        fit = goodness_of_fit(_exact_binned(params=ModelParams(1.0, true_dm)), DEFAULT)
+        assert abs(fit.fitted_delta_m - true_dm) <= analysis._GOLDEN_XTOL * true_dm, true_dm
+
+
 def _scipy_golden(func, xa, xb, xc):
     return float(minimize_scalar(func, bracket=(xa, xb, xc), method="golden").x)
 
@@ -351,6 +361,26 @@ def test_golden_matches_scipy_on_fit_objectives(monkeypatch, x, seed):
     fit = goodness_of_fit(bin_events(batch, np.linspace(0.0, 5.0, 51)), params)
     ((func, xa, xb, xc),) = brackets
     assert golden(func, xa, xb, xc) == _scipy_golden(func, xa, xb, xc) == fit.fitted_delta_m
+
+
+@pytest.mark.parametrize("x, seed", [(0.776, 3), (2.0, 5), (5.0, 12)])
+def test_delta_m_scan_rows_are_the_scalar_objective(monkeypatch, x, seed):
+    # the fit scans delta_m as one 201-row array; each row must be the float
+    # the objective gives that delta_m alone, as golden section calls it
+    params = ModelParams(1.0, x)
+    objectives = []
+    golden = analysis._golden
+
+    def recorded(func, xa, xb, xc):
+        objectives.append(func)
+        return golden(func, xa, xb, xc)
+
+    monkeypatch.setattr(analysis, "_golden", recorded)
+    batch = generate(SimConfig(params=params, n_events=20_000, seed=seed))
+    goodness_of_fit(bin_events(batch, np.linspace(0.0, 5.0, 51)), params)
+    (func,) = objectives
+    scan = np.linspace(0.5 * x, 1.5 * x, 201)
+    assert func(scan[:, None]).tolist() == [float(func(dm)) for dm in scan]
 
 
 @pytest.mark.parametrize("xmin, bracket", [

@@ -641,6 +641,53 @@ def test_scan_records_a_refused_fit(tmp_path, monkeypatch):
     assert point["fitted_delta_m"] is None
 
 
+def test_scan_rows_keep_x_order_with_verification_and_fit_errors(tmp_path, monkeypatch):
+    # the quadrature of each x runs beside its sampling and fit: a row still
+    # takes the verification error first, then the fit's, in x order
+    full_verification, generate = cli.verification.full_verification, cli.montecarlo.generate
+
+    def failing_at_2(params):
+        if params.x == 2.0:
+            raise verification.QuadratureError("made to fail at x = 2")
+        return full_verification(params)
+
+    def same_flavour(config, workers=1):
+        batch = generate(config, workers)
+        return dataclasses.replace(batch, flavour2=batch.flavour1.copy())
+
+    monkeypatch.setattr(cli.verification, "full_verification", failing_at_2)
+    monkeypatch.setattr(cli.montecarlo, "generate", same_flavour)
+    out = tmp_path / "scan"
+    assert run("scan", "2", "0.776", "--events", 4000, "--seed", 6, "--out", out) == 1
+    points = yaml.safe_load((out / "scan_summary.yaml").read_text())["points"]
+    assert [p["x"] for p in points] == [2.0, 0.776]
+    assert points[0]["status"] == "error: made to fail at x = 2"
+    assert points[1]["status"].startswith("error: no opposite-flavour pairs")
+    assert all(p["verify_passed"] is False and p["fitted_delta_m"] is None for p in points)
+
+
+def test_interrupted_scan_exits_130_with_one_line(tmp_path):
+    # Ctrl-C while the second x is verified beside its sampling: exit 130,
+    # one stderr line, and no summary or temporary file in the output directory
+    out = tmp_path / "scan"
+    code = (
+        "import signal, sys, threading\n"
+        "from bmixlhv import cli, verification\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started ignoring it\n"
+        "full_verification = verification.full_verification\n"
+        "def interrupting(params):\n"
+        "    if params.x == 2.0:\n"
+        "        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)\n"
+        "    return full_verification(params)\n"
+        "verification.full_verification = interrupting\n"
+        f"sys.exit(cli.main(['scan', '0.776', '2', '5', '--events', '4000', '--threads', '2', "
+        f"'--out', {str(out)!r}]))\n"
+    )
+    done = _python_run(tmp_path, code)
+    assert (done.returncode, done.stderr, done.stdout) == (130, "error: interrupted\n", "")
+    assert list(out.iterdir()) == []
+
+
 def _python_run(tmp_path, code, check=False):
     """The finished run of ``code`` in a fresh interpreter that imports this
     package."""

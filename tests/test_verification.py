@@ -208,6 +208,17 @@ def test_check_normalizations_tight_at_defaults(params):
 # ---------------------------------------------------------------------------
 # the full bundle
 
+@pytest.mark.parametrize("x", [0.05, 0.2, 0.776, 5.0])
+def test_phases_integrated_together_give_each_phase_bit_for_bit(monkeypatch, x):
+    # the stratified phases share quad calls; with a budget too small for two
+    # phases each gets a call of its own, and every value must stay the same.
+    # At x = 0.05 a phase's row spans no whole period, so each keeps its own call
+    params = ModelParams(1.0, x)
+    together = {c.name: c.computed for c in check_normalizations(params).checks}
+    monkeypatch.setattr(verification, "PHASE_PASS_NODES", 1)
+    assert {c.name: c.computed for c in check_normalizations(params).checks} == together
+
+
 @pytest.mark.parametrize("x", [0.01, 50.0])
 def test_check_normalizations_at_extreme_x(x):
     report = check_normalizations(ModelParams(1.0, x))
