@@ -37,12 +37,11 @@ MIN_EXPECTED_PER_BIN = 10.0
 MAX_BINS = 100_000
 BIN_CHUNK_EVENTS = 65_536  # events bin_events places per pass; no count depends on it
 
-# the constants of scipy's golden-section minimizer, kept so that
-# :func:`_golden` returns the same float for the same bracket
-_GOLDEN_R = 0.61803399  # rounded golden-ratio conjugate, 2 / (1 + sqrt(5))
-_GOLDEN_C = 1.0 - _GOLDEN_R
-_GOLDEN_XTOL = 1.4901161193847656e-08  # sqrt of the double epsilon
-_GOLDEN_MAXITER = 5000
+# the delta_m fit's zooms and the points of each, whose step is a tenth of
+# the last's.  More zooms gain nothing: rounding (about 1e-12 at 10^5 events)
+# flattens the objective over some 5e-9 about its minimum
+FIT_ZOOM_POINTS = 21
+FIT_ZOOMS = 4
 
 
 class FitRefusedError(ValueError):
@@ -188,41 +187,6 @@ def _asymmetry(n_same, n_opp):
         return asym, np.where(variance <= 0.0, 1.0 / total, variance)
 
 
-def _golden(func, xa, xb, xc):
-    """Golden-section minimum of ``func`` in the bracket xa < xb < xc, where
-    f(xb) lies below both ends.
-
-    A line-for-line port of scipy's scalar minimizer with ``method="golden"``
-    at its default tolerance: same split, same update order, same final pick,
-    so it returns the same float for the same bracket.
-    """
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1 = xb
-        x2 = xb + _GOLDEN_C * (xc - xb)
-    else:
-        x2 = xb
-        x1 = xb - _GOLDEN_C * (xb - xa)
-    f1 = func(x1)
-    f2 = func(x2)
-    for _ in range(_GOLDEN_MAXITER):
-        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0 = x1
-            x1 = x2
-            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
-            f1 = f2
-            f2 = func(x2)
-        else:
-            x3 = x2
-            x2 = x1
-            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
-            f2 = f1
-            f1 = func(x1)
-    return x1 if f1 < f2 else x2
-
-
 def _chi2_sf(dof: int, chi2: float) -> float:
     """P(X > chi2) for X chi-square with an integer ``dof`` >= 1: the closed
     form of Q(dof/2, y), y = chi2/2, which is e^-y sum_{j < dof/2} y^j / j!
@@ -266,11 +230,13 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     (shape comparison).  dof = groups - 2: one for that normalization, one
     for the fitted delta_m.  The fit maximizes the binomial likelihood of
     each group's opposite/same split under its exact group-averaged model
-    asymmetry, scanning delta_m on [0.5, 1.5] times the reference and
-    refining the best interior scan point by golden section; the error is
-    1/sqrt of the curvature of -log L at the minimum.  The two
-    p-values are the chi-square survival function at dof, summed from its
-    closed form by :func:`_chi2_sf`.
+    asymmetry.  It scans delta_m at 201 points over [0.5, 1.5] times the
+    reference, then :data:`FIT_ZOOMS` times at :data:`FIT_ZOOM_POINTS` from
+    the best point's left neighbour to its right one, each scan one array
+    pass, and takes the vertex of the parabola through the last best point
+    and its neighbours; the error is 1/sqrt of the curvature of -log L
+    there.  The p-values are the chi-square survival function at dof, summed
+    from its closed form by :func:`_chi2_sf`.
 
     Refused when a bin is wider than half an oscillation period, pi/delta_m:
     the binned asymmetry then aliases and the fit converges on a wrong
@@ -324,10 +290,9 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     exp_seg = _exp_segment(group_lo, group_hi, tau)
 
     def objective(dm):
-        # -log L less its value at a perfect fit, half the binomial deviance:
-        # sum n_opp log((1+a)/(1+m)) + n_same log((1-a)/(1-m)), 0 log 0 = 0; as
-        # log1p((a-m)/(1+-m)), whose rounding shrinks with a - m, for golden's precision;
-        # a column of delta_m values gives one sum per row, each as a scalar gives it
+        # per row of the column dm, -log L less its value at a perfect fit, half the
+        # binomial deviance: sum n_opp log((1+a)/(1+m)) + n_same log((1-a)/(1-m)),
+        # 0 log 0 = 0, as log1p((a-m)/(1+-m)), whose rounding shrinks with a - m
         model = _exp_cos_segment(group_lo, group_hi, tau, dm) / exp_seg
         with np.errstate(divide="ignore", invalid="ignore"):
             opp = obs_opp * np.log1p((asym - model) / (1.0 + model))
@@ -343,10 +308,20 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
             f"no interior minimum in the scanned delta_m range [{scan[0]:.4g}, {scan[-1]:.4g}], "
             "0.5 to 1.5 times the reference; the sample's delta_m lies outside it"
         )
-    fitted = float(_golden(objective, scan[j - 1], scan[j], scan[j + 1]))
+    step = float(scan[1] - scan[0])
+    for _ in range(FIT_ZOOMS):  # re-scan from the best point's left neighbour to its right one
+        scan = scan[j] + step * np.linspace(-1.0, 1.0, FIT_ZOOM_POINTS)
+        values = objective(scan[:, None])
+        j = int(np.argmin(values))
+        step *= 2.0 / (FIT_ZOOM_POINTS - 1)
+    fitted = float(scan[j])
+    if 0 < j < scan.size - 1:  # the vertex of the parabola through it and its neighbours
+        below, at, above = values[j - 1:j + 2].tolist()
+        fitted -= 0.5 * step * (above - below) / (above - 2.0 * at + below)
 
     h = max(1e-4 * fitted, 1e-10)
-    curvature = (objective(fitted + h) - 2.0 * objective(fitted) + objective(fitted - h)) / h**2
+    below, at, above = objective(fitted + h * np.array([[-1.0], [0.0], [1.0]]))
+    curvature = (above - 2.0 * at + below) / h**2
     error = math.sqrt(1.0 / curvature) if curvature > 0.0 else math.inf
 
     return FitResult(

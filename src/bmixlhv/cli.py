@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -258,6 +259,14 @@ def _ensure_out(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
+def _clear(cfg: RunConfig, *names: str) -> None:
+    """Remove the named files a command is about to write, so that an
+    interrupted or refused run leaves none of an earlier run's beside its own."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # or no directory
+            (cfg.out_dir / name).unlink()
+
+
 def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
           tree, header_fields, csv: bool = True) -> None:
     """Write one logical artifact as stem.txt, stem.yaml and, if ``csv``, stem.csv."""
@@ -283,6 +292,7 @@ def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: floa
 
 def cmd_verify(cfg: RunConfig) -> int:
     _ensure_out(cfg)  # refuse an unusable --out before the quadrature runs
+    _clear(cfg, "verify_report.txt", "verify_report.yaml", "verify_report.csv")
     report = verification.full_verification(ModelParams(1.0, cfg.params.x))
     checks = report.sorted_checks()
     headers = ("name", "target", "computed", "residual", "tolerance", "passed")
@@ -315,6 +325,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     except ValueError as exc:  # a tau whose decay times would overflow
         raise ConfigError(str(exc)) from None
     out = _ensure_out(cfg)
+    _clear(cfg, "events.bin", "events.csv", "manifest.txt", "manifest.yaml")
     batch = montecarlo.generate(config, workers=cfg.threads)
     # the hand-off that analyze reads without parsing text
     event_path = out / "events.bin"
@@ -359,6 +370,8 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
         for times in (batch.t1, batch.t2):
             times *= 1.0 / scale
     dt_max = cfg.dt_max_for(scale)
+    _clear(cfg, "analysis_bins.csv", "analysis_curves.csv", "analysis_fit.txt",
+           "analysis_fit.yaml", "analysis_fit.csv")
     binned, fit = _bin_and_fit(batch, internal, cfg.bins, dt_max / scale)
 
     fingerprint = reporting.fingerprint_of_mapping(
@@ -430,6 +443,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
     if any(not (math.isfinite(x) and x > 0.0) for x in x_values):
         raise ConfigError("all mixing values must be finite and positive")
     _ensure_out(cfg)  # refuse an unusable --out before anything is computed
+    _clear(cfg, "scan_summary.txt", "scan_summary.yaml", "scan_summary.csv")
 
     headers = ("x", "max_verify_residual", "verify_passed", "fitted_delta_m",
                "fitted_delta_m_error", "chi2_dof_same", "chi2_dof_opposite", "status")

@@ -106,6 +106,10 @@ GENERATE_BLOCK_EVENTS = 65_536
 # draws several proposals per round
 _MIN_DRAWS_PER_CALL = GENERATE_BLOCK_EVENTS // 8
 
+# proposals a rejection loop makes per event before it raises
+# RejectionOverflowError; the configuration text and event-file header carry it
+MAX_REJECTION_ITERS = 10_000
+
 # bound on every decay time drawn, in lifetimes: -log1p(-u) at the largest
 # uniform, 1 - 2**-53, is 53 ln 2 = 36.7368...
 MAX_DECAY_LIFETIMES = 36.74
@@ -156,15 +160,12 @@ class SimConfig:
     n_events: int
     seed: int
     symmetrized: bool = False
-    max_rejection_iters: int = 10_000
 
     def __post_init__(self) -> None:
         if self.n_events < 1:
             raise ValueError(f"n_events must be at least 1, got {self.n_events}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.max_rejection_iters < 1:
-            raise ValueError("max_rejection_iters must be at least 1")
         max_tau = sys.float_info.max / MAX_DECAY_LIFETIMES
         if self.params.tau > max_tau:
             raise ValueError(f"tau must be at most {max_tau!r}, since decay times reach "
@@ -180,7 +181,7 @@ def _config_fields(config: SimConfig) -> dict:
         "n_events": config.n_events,
         "seed": config.seed,
         "symmetrized": config.symmetrized,
-        "max_rejection_iters": config.max_rejection_iters,
+        "max_rejection_iters": MAX_REJECTION_ITERS,
         "generator": GENERATOR_VERSION,
     }
 
@@ -265,7 +266,7 @@ def _draw_floor(lanes: int) -> int:
 def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test):
     """Envelope rejection on every lane: the value of each lane's first
     accepted proposal, the number of proposals made, and the lanes still
-    pending when the per-lane budget ``max_rejection_iters`` ran out.
+    pending when the per-lane budget :data:`MAX_REJECTION_ITERS` ran out.
 
     ``test(lanes, u_a, u_b)`` maps the uniform pairs drawn for ``lanes`` to
     (accepted, value) arrays.  Each call draws at least
@@ -281,8 +282,8 @@ def _first_accepted(config: SimConfig, idx: np.ndarray, cursor: np.ndarray, test
     pending = np.arange(idx.size)
     used = 0
     floor = _draw_floor(idx.size)
-    while pending.size and used < config.max_rejection_iters:
-        k = min(-(-floor // pending.size), config.max_rejection_iters - used)
+    while pending.size and used < MAX_REJECTION_ITERS:
+        k = min(-(-floor // pending.size), MAX_REJECTION_ITERS - used)
         if k == 1:  # one proposal per lane: nothing to reduce over
             u_a, u_b = uniform_pair_block(config.seed, idx[pending], cursor[pending] + np.uint64(used))
             hit, value = test(pending, u_a, u_b)
@@ -644,8 +645,9 @@ def read_events(path) -> EventBatch:
     ``n_events`` well-formed rows that keep the row rules of
     :func:`_check_rows`, under a UTF-8 header of generator
     :data:`GENERATOR_VERSION` that holds every configuration field and
-    acceptance statistic, with acceptance rates
-    equal to those the :class:`RngStats` of its proposal counts gives.
+    acceptance statistic, with :data:`MAX_REJECTION_ITERS` as its budget and
+    acceptance rates equal to those the :class:`RngStats` of its proposal
+    counts gives.
     Rows are counted from the first row of the file, blank lines not
     included.  A row that does not parse is named in ``numpy.loadtxt``'s
     words, which count a bad value from 0 and a wrong column count from 1;
@@ -674,8 +676,8 @@ def read_events(path) -> EventBatch:
             n_events=int(header["n_events"]),
             seed=int(header["seed"]),
             symmetrized=bool(int(header["symmetrized"])),
-            max_rejection_iters=int(header["max_rejection_iters"]),
         )
+        budget = int(header["max_rejection_iters"])
         stats = RngStats(config.n_events, int(header["lambda_proposals"]),
                          int(header["t2_proposals"]))
         rates = (float(header["lambda_acceptance_rate"]), float(header["t2_acceptance_rate"]))
@@ -687,6 +689,9 @@ def read_events(path) -> EventBatch:
         raise EventFileError(f"event file is from generator {header.get('generator', '1')}; "
                              f"this version reads generator {GENERATOR_VERSION} files only "
                              "(generator 1 wrote no generator line)")
+    if budget != MAX_REJECTION_ITERS:
+        raise EventFileError(f"event file was drawn with max_rejection_iters={budget}; "
+                             f"this version draws with {MAX_REJECTION_ITERS} only")
     if config_fingerprint(config) != fingerprint:
         raise EventFileError("event file fingerprint does not match its header fields")
     if rates != (stats.lambda_acceptance_rate, stats.t2_acceptance_rate):

@@ -6,8 +6,10 @@ second-side normalizer by summing exact antiderivatives between cosine sign
 changes, the band probabilities by adaptive 2-D quadrature of the joint
 density, and the verification integrals by adaptive quadrature with
 breakpoints (:func:`adaptive_quad`).  :func:`two_sample_chi2` compares two
-histograms for the symmetrization acceptance check, and
-:func:`sample_furry` draws the disentangled pairs the fit must reject.
+histograms for the symmetrization acceptance check,
+:func:`binomial_fit_delta_m` fits delta_m by a likelihood written and
+minimized apart from the package's, and :func:`sample_furry` draws the
+disentangled pairs the fit must reject.
 They work in unit-lifetime time units (tau = 1).
 
 The scalar samplers at the end are the other kind of reference: one event
@@ -24,8 +26,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from bmixlhv.analysis import BinnedRates
 from bmixlhv.model import Flavour, ModelParams, flavour_window_codes, rho_table
@@ -255,6 +258,44 @@ def bin_events_one_shot(batch, edges) -> BinnedRates:
         counts_opposite=np.bincount(pos[in_range & ~same], minlength=nbins).astype(float),
         n_total=len(batch),
     )
+
+
+def binomial_fit_delta_m(binned: BinnedRates, starts, delta_m: float, half_width: float) -> float:
+    """delta_m that maximizes the binomial likelihood of the opposite/same
+    split of each lag-bin group, the groups starting at the bins ``starts``,
+    found by scipy's bounded Brent minimizer within ``half_width`` of
+    ``delta_m``.
+
+    Each group's model asymmetry is the ratio of the integrals of
+    exp(-t) cos(delta_m t) and exp(-t) over it, the first as the real part
+    of the complex exponential's antiderivative.  -log L is summed in
+    40-digit arithmetic, less its value at ``delta_m``, so its float is not
+    rounded at the scale of the whole sum.  The variable is the offset from
+    ``delta_m``: the minimizer's tolerance, sqrt(eps) times the variable,
+    is then about 1e-11 at an offset of 1e-3, not 1e-8 as at delta_m ~ 1.
+    """
+    stops = list(starts[1:]) + [binned.edges.size - 1]
+    groups = [(mpmath.mpf(binned.edges[a]), mpmath.mpf(binned.edges[b]),
+               int(binned.counts_opposite[a:b].sum()), int(binned.counts_same[a:b].sum()))
+              for a, b in zip(starts, stops)]
+
+    def minus_log_likelihood(dm):
+        z = mpmath.mpc(-1, dm)
+        total = mpmath.mpf(0)
+        for lo, hi, n_opp, n_same in groups:
+            model = mpmath.re((mpmath.exp(z * hi) - mpmath.exp(z * lo)) / z) / (
+                mpmath.exp(-lo) - mpmath.exp(-hi))
+            total -= n_opp * mpmath.log((1 + model) / 2) + n_same * mpmath.log((1 - model) / 2)
+        return total
+
+    with mpmath.workdps(40):
+        reference = minus_log_likelihood(mpmath.mpf(delta_m))
+        found = optimize.minimize_scalar(
+            lambda u: float(minus_log_likelihood(delta_m + mpmath.mpf(u)) - reference),
+            bounds=(-half_width, half_width), method="bounded", options={"xatol": 1e-14})
+    if not found.success or abs(found.x) > 0.99 * half_width:
+        raise RuntimeError(f"no interior binomial-likelihood minimum: {found}")
+    return delta_m + found.x
 
 
 def sample_furry(rng: np.random.Generator, n: int, delta_m: float):

@@ -145,9 +145,9 @@ def test_analyze_adopts_file_parameters(tmp_path):
 GOLDEN_ANALYSIS_SHA256 = {
     "analysis_bins.csv": "7b8c02158e01324eb760463ea733ea9aeff57eb9d4f525d1295e68d2ddf86784",
     "analysis_curves.csv": "113dfe1b15c43adafdba84344c52e924375f857e422e1dd74388866854192451",
-    "analysis_fit.csv": "081fe75e9b383162352ea95bb861e193e2990a562a64f5df7394f015fd98b8a1",
-    "analysis_fit.txt": "86df53d63f4f81476bd2d1abe5ab66e5d3c2982a384a1c8e7f2757e7c991d409",
-    "analysis_fit.yaml": "6a1c158cf1d0bc8a3d5429f0a496564b69c8aae9f34d06de393dd5d27499b869",
+    "analysis_fit.csv": "72a0478bdf1bc746798705e2d5950226e74ae6a65bcf9d7e8dadfa058cdb375f",
+    "analysis_fit.txt": "2e1199c6430fdd18b77e6450df84f0bf9a32cd7ef7829eef6296a17442236f69",
+    "analysis_fit.yaml": "60c4011276d880e9386e68d238e1ea3ad0e8c0cdcd61e31b9549eac6a2188246",
 }
 
 
@@ -686,6 +686,36 @@ def test_interrupted_scan_exits_130_with_one_line(tmp_path):
     done = _python_run(tmp_path, code)
     assert (done.returncode, done.stderr, done.stdout) == (130, "error: interrupted\n", "")
     assert list(out.iterdir()) == []
+
+
+def test_a_rerun_stopped_early_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch):
+    # each command first removes the files it is about to write, so a rerun
+    # that is interrupted, refused or fails leaves an incomplete directory
+    # without a manifest or summary, never one that mixes two runs
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def quadrature_fails(params):
+        raise verification.QuadratureError("made to fail")
+
+    sim, fit, ver, scan = (tmp_path / name for name in ("sim", "fit", "ver", "scan"))
+    assert run("simulate", "--events", 2000, "--seed", 1, "--out", sim) == 0
+    assert run("analyze", sim / "events.bin", "--out", fit) == 0
+    assert run("verify", "--out", ver) == 0
+    assert run("scan", 0.776, "--events", 2000, "--out", scan) == 0
+    with monkeypatch.context() as patch:  # Ctrl-C while events.csv is written
+        patch.setattr(cli.montecarlo, "write_events", interrupt)
+        assert run("simulate", "--events", 3000, "--seed", 2, "--out", sim) == 130
+    assert sorted(p.name for p in sim.iterdir()) == ["events.bin"]
+    assert read_events(sim / "events.bin").config.seed == 2
+    # one 5-lifetime bin is wider than half a period: the fit is refused
+    assert run("analyze", sim / "events.bin", "--bins", 1, "--out", fit) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.verification, "full_verification", quadrature_fails)
+        assert run("verify", "--out", ver) == 1
+        patch.setattr(cli, "_emit", interrupt)  # Ctrl-C as the summary is written
+        assert run("scan", 0.776, "--events", 2000, "--out", scan) == 130
+    assert list(fit.iterdir()) == list(ver.iterdir()) == list(scan.iterdir()) == []
 
 
 def _python_run(tmp_path, code, check=False):

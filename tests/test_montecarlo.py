@@ -890,6 +890,23 @@ def test_event_file_of_another_generator_is_refused(tmp_path, monkeypatch):
         read_events(v3)
 
 
+def test_event_file_of_another_rejection_budget_is_refused(tmp_path, monkeypatch):
+    # the header and fingerprint carry the budget: a file written under
+    # another one is refused by name, in binary and delimited form alike
+    monkeypatch.setattr(montecarlo, "MAX_REJECTION_ITERS", 500)
+    batch = generate(_config(n=3))
+    write_events(batch, tmp_path / "x.csv")
+    write_event_columns(batch, tmp_path / "x.bin")
+    monkeypatch.undo()
+    for name in ("x.csv", "x.bin"):
+        assert "# max_rejection_iters=500\n" in (tmp_path / name).read_bytes().decode("latin-1")
+        with pytest.raises(EventFileError, match=r"^event file was drawn with max_rejection_iters="
+                                                 r"500; this version draws with 10000 only$"):
+            read_events(tmp_path / name)
+    write_events(batch, tmp_path / "ok.csv")  # the same events under this budget
+    assert read_events(tmp_path / "ok.csv").config == batch.config
+
+
 # simulate --x 0.776 --events 2 --seed 1, as generator 1 wrote it
 GENERATOR_1_EVENT_FILE = """\
 # fingerprint=a220d83419362f172505952c2da3f821fb0015b77ce4c134fcb99eb4f1e4d499
@@ -946,8 +963,9 @@ def test_config_fingerprint_separates_configs():
         {"n_events": -5},
         {"seed": -1},
         {"seed": 2**64},
-        {"max_rejection_iters": 0},
-        # the longest decay time drawn, 53 ln 2 tau, is inf at this tau
+        # the longest decay time drawn, 53 ln 2 tau, is inf just above
+        # float max / MAX_DECAY_LIFETIMES = 4.89e306, and far above it
+        {"params": ModelParams(4.9e306, 1e-306)},
         {"params": ModelParams(1e308, 1e-308)},
     ],
 )
@@ -958,15 +976,11 @@ def test_sim_config_validation(kwargs):
         SimConfig(**base)
 
 
-def test_rejection_overflow_raises():
-    cfg = SimConfig(
-        params=ModelParams(1.0, 0.776),
-        n_events=64,
-        seed=0,
-        max_rejection_iters=1,
-    )
-    with pytest.raises(RejectionOverflowError):
-        generate(cfg)
+def test_rejection_overflow_raises(monkeypatch):
+    for budget in (0, 1):  # no proposal at all, and one per event
+        monkeypatch.setattr(montecarlo, "MAX_REJECTION_ITERS", budget)
+        with pytest.raises(RejectionOverflowError):
+            generate(SimConfig(params=ModelParams(1.0, 0.776), n_events=64, seed=0))
 
 
 @pytest.mark.parametrize("max_iters", [1, 5, 13, 40, 200, 10_000])
@@ -976,8 +990,8 @@ def test_multi_cursor_rounds_change_no_draw(monkeypatch, max_iters):
     # a floor of 14 pairs per lane draws 14 proposals per lane from the
     # first round, cut to the budget at 1, 5 and 13.  Events, stats and the
     # depth at which the per-lane budget runs out must not depend on it
-    cfg = SimConfig(params=ModelParams(1.0, 0.01), n_events=5000, seed=4,
-                    max_rejection_iters=max_iters)
+    monkeypatch.setattr(montecarlo, "MAX_REJECTION_ITERS", max_iters)
+    cfg = SimConfig(params=ModelParams(1.0, 0.01), n_events=5000, seed=4)
 
     def outcome():
         try:
