@@ -24,11 +24,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,32 +51,10 @@ class ConfigError(ValueError):
     """Invalid configuration or command usage."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: ModelParams  # physical units
-    model_specified: bool
-    n_events: int
-    seed: int
-    symmetrized: bool
-    bins: int
-    dt_max: float | None  # physical units; None means DEFAULT_DT_MAX_LIFETIMES * tau
-    out_dir: Path
-    threads: int
-
-    def sim_config(self, params: ModelParams) -> SimConfig:
-        """The generator configuration of this run for ``params``."""
-        return SimConfig(params=params, n_events=self.n_events, seed=self.seed,
-                         symmetrized=self.symmetrized)
-
-    def dt_max_for(self, tau: float) -> float:
-        """Histogram upper edge in the units of ``tau``."""
-        return self.dt_max if self.dt_max is not None else DEFAULT_DT_MAX_LIFETIMES * tau
-
-
 # ---------------------------------------------------------------------------
 # argument and config-file handling
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Option:
     section: str  # the config-file section that holds the key
     type: type  # of the flag's value, to which a config-file value is parsed
@@ -178,17 +157,20 @@ def _parse_value(name: str, text: str):
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args) -> SimpleNamespace:
+    """Every option's value under its ``_OPTIONS`` name (its default where the
+    command takes no such option), the model as ``params``, ``model_specified``
+    and, for the commands that draw events, their generator settings as ``sim``."""
     names = _COMMANDS[args.command][1].split()
     values = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     file_values = _read_config_file(args.config) if args.config else {}
     model = [name for name, opt in _OPTIONS.items() if opt.section == "model"]
     if any(name in values for name in model):  # model flags replace the file's [model] wholesale
         file_values = {k: v for k, v in file_values.items() if k not in model}
-    if "threads" not in names:  # verify and analyze run on one thread and take no worker count
-        values["threads"] = 1
     for name, text in file_values.items():
-        if name not in values:  # a flag wins; its key's value is never parsed
+        # a flag wins, and a key of another command's option is never parsed,
+        # so that one file serves every command
+        if name in names and name not in values:
             try:
                 values[name] = _parse_value(name, text)
             except ValueError as exc:
@@ -200,77 +182,65 @@ def resolve_config(args) -> RunConfig:
     if given == ["tau"]:
         raise ConfigError("--tau needs --delta-m (or use --x)")
     values = {name: values.get(name, opt.default) for name, opt in _OPTIONS.items()}
+    cfg = SimpleNamespace(**values, model_specified=bool(given))
     try:
-        params = ModelParams(values["tau"],
-                             values["x"] if values["delta_m"] is None else values["delta_m"])
+        cfg.params = ModelParams(cfg.tau, cfg.x if cfg.delta_m is None else cfg.delta_m)
+        if "events" in names:  # simulate and scan: SimConfig refuses events, seed and tau
+            cfg.sim = SimConfig(params=cfg.params, n_events=cfg.events, seed=cfg.seed,
+                                symmetrized=cfg.symmetrized)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    n_events, seed, bins, dt_max, threads = (
-        values[k] for k in ("events", "seed", "bins", "dt_max", "threads"))
-    if threads is None:
+    if "threads" not in names:  # verify and analyze run on one thread
+        cfg.threads = 1
+    elif cfg.threads is None:
         # the CPUs this process may run on, which taskset or a cpuset can
         # narrow below os.cpu_count()
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+        cfg.threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
 
-    if n_events < 1:
-        raise ConfigError(f"events must be at least 1, got {n_events}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
-    if not 1 <= bins <= analysis.MAX_BINS:
-        raise ConfigError(f"bins must be between 1 and {analysis.MAX_BINS}, got {bins}")
-    if dt_max is not None and not (math.isfinite(dt_max) and dt_max > 0.0):
-        raise ConfigError(f"dt-max must be finite and positive, got {dt_max}")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    if not 1 <= cfg.bins <= analysis.MAX_BINS:
+        raise ConfigError(f"bins must be between 1 and {analysis.MAX_BINS}, got {cfg.bins}")
+    if cfg.dt_max is not None and not (math.isfinite(cfg.dt_max) and cfg.dt_max > 0.0):
+        raise ConfigError(f"dt-max must be finite and positive, got {cfg.dt_max}")
+    if cfg.threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {cfg.threads}")
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         memory = -1
-    if memory > 0 and n_events * montecarlo.EVENT_BYTES > memory:
-        raise ConfigError(f"events={n_events} take {n_events * montecarlo.EVENT_BYTES} bytes, "
-                          f"more than the {memory} bytes of this host's memory")
-
-    return RunConfig(
-        params=params,
-        model_specified=bool(given),
-        n_events=n_events,
-        seed=seed,
-        symmetrized=values["symmetrized"],
-        bins=bins,
-        dt_max=dt_max,
-        out_dir=values["out"],
-        threads=threads,
-    )
+    if memory > 0 and cfg.events * montecarlo.EVENT_BYTES > memory:
+        raise ConfigError(f"events={cfg.events} take {cfg.events * montecarlo.EVENT_BYTES} "
+                          f"bytes, more than the {memory} bytes of this host's memory")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # emission helpers
 
-def _ensure_out(cfg: RunConfig) -> Path:
+def _ensure_out(cfg: SimpleNamespace) -> Path:
     """The output directory, created if need be; raises :class:`ConfigError`
     when it cannot be, as when it names a regular file."""
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.out_dir}: "
+        raise ConfigError(f"cannot create output directory {cfg.out}: "
                           f"{exc.strerror or exc}") from None
-    return cfg.out_dir
+    return cfg.out
 
 
-def _clear(cfg: RunConfig, *names: str) -> None:
+def _clear(cfg: SimpleNamespace, *names: str) -> None:
     """Remove the named files a command is about to write, so that an
     interrupted or refused run leaves none of an earlier run's beside its own."""
     for name in names:
         with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # or no directory
-            (cfg.out_dir / name).unlink()
+            (cfg.out / name).unlink()
 
 
-def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
+def _emit(cfg: SimpleNamespace, stem: str, fingerprint: str, headers, rows,
           tree, header_fields, csv: bool = True) -> None:
-    """Write one logical artifact as stem.txt, stem.yaml and, if ``csv``, stem.csv."""
-    out = _ensure_out(cfg)
+    """Write one logical artifact as stem.txt, stem.yaml and, if ``csv``, stem.csv,
+    into the output directory, which the command has already made."""
+    out = cfg.out
     reporting.write_text(out / f"{stem}.txt",
                          reporting.table_text(headers, rows, fingerprint, **header_fields))
     reporting.write_text(out / f"{stem}.yaml",
@@ -278,6 +248,11 @@ def _emit(cfg: RunConfig, stem: str, fingerprint: str, headers, rows,
     if csv:
         reporting.write_text(out / f"{stem}.csv",
                              reporting.csv_columns(headers, rows, fingerprint, **header_fields))
+
+
+def _dt_max_for(cfg: SimpleNamespace, tau: float) -> float:
+    """The run's histogram upper edge in the units of ``tau``."""
+    return cfg.dt_max if cfg.dt_max is not None else DEFAULT_DT_MAX_LIFETIMES * tau
 
 
 def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: float):
@@ -290,7 +265,7 @@ def _bin_and_fit(batch: EventBatch, params: ModelParams, bins: int, dt_max: floa
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     _ensure_out(cfg)  # refuse an unusable --out before the quadrature runs
     _clear(cfg, "verify_report.txt", "verify_report.yaml", "verify_report.csv")
     report = verification.full_verification(ModelParams(1.0, cfg.params.x))
@@ -319,14 +294,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    try:
-        config = cfg.sim_config(cfg.params)
-    except ValueError as exc:  # a tau whose decay times would overflow
-        raise ConfigError(str(exc)) from None
+def cmd_simulate(cfg: SimpleNamespace) -> int:
     out = _ensure_out(cfg)
     _clear(cfg, "events.bin", "events.csv", "manifest.txt", "manifest.yaml")
-    batch = montecarlo.generate(config, workers=cfg.threads)
+    batch = montecarlo.generate(cfg.sim, workers=cfg.threads)
     # the hand-off that analyze reads without parsing text
     event_path = out / "events.bin"
     montecarlo.write_event_columns(batch, event_path)
@@ -337,7 +308,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "tau": cfg.params.tau,
         "delta_m": cfg.params.delta_m,
         "x": cfg.params.x,
-        "n_events": cfg.n_events,
+        "n_events": cfg.events,
         "seed": cfg.seed,
         "symmetrized": cfg.symmetrized,
         "event_file": event_path.name,
@@ -346,11 +317,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = [(k, manifest[k]) for k in sorted(manifest)]
     _emit(cfg, "manifest", batch.config_fingerprint, ("key", "value"), rows, manifest, {},
           csv=False)
-    print(f"simulated {cfg.n_events} events -> {event_path}")
+    print(f"simulated {cfg.events} events -> {event_path}")
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
+def cmd_analyze(cfg: SimpleNamespace, event_file: Path) -> int:
     try:
         batch = montecarlo.read_events(event_file)
     except OSError as exc:
@@ -369,7 +340,7 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     if scale != 1.0:  # decay times to lifetimes in place; no one else holds this batch
         for times in (batch.t1, batch.t2):
             times *= 1.0 / scale
-    dt_max = cfg.dt_max_for(scale)
+    dt_max = _dt_max_for(cfg, scale)
     _clear(cfg, "analysis_bins.csv", "analysis_curves.csv", "analysis_fit.txt",
            "analysis_fit.yaml", "analysis_fit.csv")
     binned, fit = _bin_and_fit(batch, internal, cfg.bins, dt_max / scale)
@@ -437,7 +408,7 @@ def cmd_analyze(cfg: RunConfig, event_file: Path) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
+def cmd_scan(cfg: SimpleNamespace, x_values: list[float]) -> int:
     if not x_values:
         raise ConfigError("scan needs at least one mixing value")
     if any(not (math.isfinite(x) and x > 0.0) for x in x_values):
@@ -449,7 +420,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
                "fitted_delta_m_error", "chi2_dof_same", "chi2_dof_opposite", "status")
     rows = []
     all_ok = True
-    dt_max = cfg.dt_max_for(1.0)
+    dt_max = _dt_max_for(cfg, 1.0)
 
     def verify(params):  # errors are returned, so that neither map stops early
         try:
@@ -459,7 +430,8 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
 
     def sample(params):  # and only the fit, so that no batch outlives its x
         try:
-            batch = montecarlo.generate(cfg.sim_config(params), workers=cfg.threads)
+            config = dataclasses.replace(cfg.sim, params=params)
+            batch = montecarlo.generate(config, workers=cfg.threads)
             return _bin_and_fit(batch, params, cfg.bins, dt_max)[1]
         except (montecarlo.RejectionOverflowError, analysis.FitRefusedError) as exc:
             return exc
@@ -489,7 +461,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
         {
             "command": "scan",
             "x_values": ",".join(repr(x) for x in x_values),
-            "events": cfg.n_events,
+            "events": cfg.events,
             "seed": cfg.seed,
             "symmetrized": cfg.symmetrized,
             "bins": cfg.bins,
@@ -504,7 +476,7 @@ def cmd_scan(cfg: RunConfig, x_values: list[float]) -> int:
         ]
     }
     _emit(cfg, "scan_summary", fingerprint, headers, rows, tree,
-          {"events": cfg.n_events, "seed": cfg.seed})
+          {"events": cfg.events, "seed": cfg.seed})
     print(f"scan: {len(rows)} points, {'all ok' if all_ok else 'failures recorded'}")
     return EXIT_OK if all_ok else EXIT_RUNTIME
 

@@ -241,6 +241,25 @@ def test_commands_without_threads_read_no_worker_count(tmp_path):
         assert cli.resolve_config(args).threads == 1
 
 
+@pytest.mark.parametrize("command, ini", [
+    ("simulate", "[analyze]\nbins = 0\n"),
+    ("verify", "[simulate]\nevents = 0\n"),
+    ("verify", "[simulate]\nsymmetrized = maybe\n"),
+    ("scan 0.776", "[model]\ntau = 2\n"),
+], ids=["simulate-bins", "verify-events", "verify-symmetrized", "scan-tau"])
+def test_a_command_reads_only_its_own_options_keys(tmp_path, command, ini):
+    # another command's key, even a bad one, leaves this command's run as it was
+    config = tmp_path / "run.ini"
+    config.write_text(ini)
+    parser = cli.build_parser()
+    resolved = cli.resolve_config(parser.parse_args([*command.split(), "--config", str(config)]))
+    assert resolved == cli.resolve_config(parser.parse_args(command.split()))
+    # while a key that no command takes is still refused
+    config.write_text(ini + "[output]\nformat = machine-tree\n")
+    with pytest.raises(cli.ConfigError, match="unknown key 'format'"):
+        cli.resolve_config(parser.parse_args([*command.split(), "--config", str(config)]))
+
+
 def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
     # under taskset or a cpuset the machine's CPU count over-subscribes
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -445,6 +464,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("scan", "0.0", "--out", out) == 2
     assert run("analyze", tmp_path / "missing.csv", "--bins", 0, "--out", out) == 2
     assert run("simulate", "--x", 0.7, "--events", 10, "--threads", 0, "--out", out) == 2
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["scan", "0.776"]])
+@pytest.mark.parametrize("flags, message", [
+    (["--events", "0"], "n_events must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must fit in 64 bits, got -1"),
+    (["--seed", str(2**64)], f"seed must fit in 64 bits, got {2**64}"),
+], ids=["events-0", "seed-negative", "seed-2**64"])
+def test_generator_settings_are_refused_before_any_output(tmp_path, capsys, monkeypatch,
+                                                          command, flags, message):
+    # SimConfig's own checks, run as the command's options are resolved
+    monkeypatch.setattr(montecarlo, "generate", None)
+    monkeypatch.setattr(verification, "full_verification", None)
+    out = tmp_path / "o"
+    assert run(*command, *flags, "--out", out) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -785,6 +821,7 @@ def test_commands_run_without_scipy(tmp_path):
         ["simulate", "--x", "0.776", "--events", "3000", "--seed", "4", "--out", "sim"],
         ["analyze", "sim/events.csv", "--out", "fit"],
         ["scan", "0.776", "2", "--events", "3000", "--out", "scan"],
+        ["verify", "--x", "0.776", "--out", "ver"],
     ]
     code = (
         "import sys\n"
@@ -792,8 +829,9 @@ def test_commands_run_without_scipy(tmp_path):
         "import bmixlhv.cli\n"
         f"print([bmixlhv.cli.main(argv) for argv in {argvs!r}])\n"
     )
-    assert _python(tmp_path, code).splitlines()[-1] == "[0, 0, 0]"
+    assert _python(tmp_path, code).splitlines()[-1] == "[0, 0, 0, 0]"
     assert (tmp_path / "fit" / "analysis_fit.yaml").is_file()
+    assert (tmp_path / "ver" / "verify_report.yaml").is_file()
 
 
 def _with_delta_m(path, out, delta_m):
