@@ -5,7 +5,8 @@ x = delta_m * tau.  ``montecarlo.generate`` scales its decay times by tau
 itself; ``verify`` and ``analyze`` compute at tau = 1 and scale physical
 units back in (times multiplied by tau, frequencies divided) only at the
 output boundary.  Either give --x, or give --tau together with --delta-m;
-giving both specifications at once is a usage error.
+giving both specifications at once is a usage error.  Every option takes
+its value from its flag, or else from its ``_OPTIONS`` default.
 
 Every output file starts with a ``# fingerprint=`` comment so results can
 be traced to their exact configuration; outputs contain no timestamps and
@@ -22,7 +23,6 @@ cannot be created, such as one that names a regular file, is a usage error
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import dataclasses
 import math
@@ -52,29 +52,27 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# argument and config-file handling
+# argument handling
 
 @dataclasses.dataclass(frozen=True)
 class _Option:
-    section: str  # the config-file section that holds the key
-    type: type  # of the flag's value, to which a config-file value is parsed
+    type: type  # of the flag's value
     default: object  # None: resolve_config works the value out
     help: str
 
 
-# Every option's flag is --name with "-" for "_", and its config key is name.
+# Every option's flag is --name with "-" for "_".
 _OPTIONS = {
-    "tau": _Option("model", float, 1.0, "mean lifetime (time units)"),
-    "delta_m": _Option("model", float, None, "oscillation frequency (inverse time units)"),
-    "x": _Option("model", float, 0.776, "dimensionless mixing parameter (implies tau = 1)"),
-    "out": _Option("output", Path, Path("out"), "output directory"),
-    "events": _Option("simulate", int, 100_000, "number of events to generate"),
-    "seed": _Option("simulate", int, 20_260_814, "64-bit generator seed"),
-    "symmetrized": _Option("simulate", bool, False,
-                           "randomize which side receives which decay law"),
-    "threads": _Option("output", int, None, "workers for generation and event-file formatting"),
-    "bins": _Option("analyze", int, 50, f"number of lag bins, at most {analysis.MAX_BINS}"),
-    "dt_max": _Option("analyze", float, None,
+    "tau": _Option(float, 1.0, "mean lifetime (time units)"),
+    "delta_m": _Option(float, None, "oscillation frequency (inverse time units)"),
+    "x": _Option(float, 0.776, "dimensionless mixing parameter (implies tau = 1)"),
+    "out": _Option(Path, Path("out"), "output directory"),
+    "events": _Option(int, 100_000, "number of events to generate"),
+    "seed": _Option(int, 20_260_814, "64-bit generator seed"),
+    "symmetrized": _Option(bool, False, "randomize which side receives which decay law"),
+    "threads": _Option(int, None, "workers for generation and event-file formatting"),
+    "bins": _Option(int, 50, f"number of lag bins, at most {analysis.MAX_BINS}"),
+    "dt_max": _Option(float, None,
                       f"histogram upper edge (default: {DEFAULT_DT_MAX_LIFETIMES:g} tau)"),
 }
 
@@ -101,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (command_help, names) in _COMMANDS.items():
         sp = sub.add_parser(command, help=command_help)
-        sp.add_argument("--config", type=Path, help="INI config file (flags win)")
         for name in names.split():
             opt = _OPTIONS[name]
-            if opt.type is bool:  # the flag sets True; a config file may say either
+            if opt.type is bool:  # the flag sets True
                 kind, text = {"action": "store_true", "default": None}, opt.help
             else:
                 kind = {"type": opt.type}
@@ -119,64 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    """The file's values as text, keyed by option name."""
-    # No interpolation, so that a value means what its flag means, "%" and
-    # all; and a default section no header can name, so that [DEFAULT] is
-    # refused as an unknown section.
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        with open(path, encoding="utf-8") as file:
-            parser.read_file(file)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, say, or a file this process may not read
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        detail = " ".join(str(exc).split())  # configparser's messages span lines
-        raise ConfigError(f"malformed config file {path}: {detail}") from None
-    values: dict[str, str] = {}
-    for section in parser.sections():
-        if section not in {opt.section for opt in _OPTIONS.values()}:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _OPTIONS or _OPTIONS[key].section != section:
-                raise ConfigError(f"unknown key {key!r} in config section [{section}]")
-            values[key] = value
-    return values
-
-
-def _parse_value(name: str, text: str):
-    """A config-file value as its option's flag would give it."""
-    kind = _OPTIONS[name].type
-    if kind is not bool:
-        return kind(text)
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
 def resolve_config(args) -> SimpleNamespace:
     """Every option's value under its ``_OPTIONS`` name (its default where the
     command takes no such option), the model as ``params``, ``model_specified``
     and, for the commands that draw events, their generator settings as ``sim``."""
     names = _COMMANDS[args.command][1].split()
     values = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    file_values = _read_config_file(args.config) if args.config else {}
-    model = [name for name, opt in _OPTIONS.items() if opt.section == "model"]
-    if any(name in values for name in model):  # model flags replace the file's [model] wholesale
-        file_values = {k: v for k, v in file_values.items() if k not in model}
-    for name, text in file_values.items():
-        # a flag wins, and a key of another command's option is never parsed,
-        # so that one file serves every command
-        if name in names and name not in values:
-            try:
-                values[name] = _parse_value(name, text)
-            except ValueError as exc:
-                raise ConfigError(f"invalid config value for {name!r}: {exc}") from None
-
-    given = [name for name in model if name in values]
+    given = [name for name in ("tau", "delta_m", "x") if name in values]
     if "x" in given and len(given) > 1:
         raise ConfigError("give either --x or --tau/--delta-m, not both")
     if given == ["tau"]:

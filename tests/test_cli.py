@@ -1,4 +1,4 @@
-"""Command-line behaviour: exit codes, precedence, units, byte-stable output."""
+"""Command-line behaviour: exit codes, options, units, byte-stable output."""
 
 import dataclasses
 import hashlib
@@ -232,32 +232,13 @@ def test_threads_is_an_option_of_the_generating_commands_only(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-def test_commands_without_threads_read_no_worker_count(tmp_path):
-    # a shared config file may set one, even a bad one
-    config = tmp_path / "run.ini"
-    config.write_text("[output]\nthreads = 0\n")
+def test_commands_without_threads_read_no_worker_count(monkeypatch):
+    # not the CPUs either, however many there are
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     for argv in (["verify"], ["analyze", "events.bin"]):
-        args = cli.build_parser().parse_args([*argv, "--config", str(config)])
+        args = cli.build_parser().parse_args(argv)
         assert cli.resolve_config(args).threads == 1
-
-
-@pytest.mark.parametrize("command, ini", [
-    ("simulate", "[analyze]\nbins = 0\n"),
-    ("verify", "[simulate]\nevents = 0\n"),
-    ("verify", "[simulate]\nsymmetrized = maybe\n"),
-    ("scan 0.776", "[model]\ntau = 2\n"),
-], ids=["simulate-bins", "verify-events", "verify-symmetrized", "scan-tau"])
-def test_a_command_reads_only_its_own_options_keys(tmp_path, command, ini):
-    # another command's key, even a bad one, leaves this command's run as it was
-    config = tmp_path / "run.ini"
-    config.write_text(ini)
-    parser = cli.build_parser()
-    resolved = cli.resolve_config(parser.parse_args([*command.split(), "--config", str(config)]))
-    assert resolved == cli.resolve_config(parser.parse_args(command.split()))
-    # while a key that no command takes is still refused
-    config.write_text(ini + "[output]\nformat = machine-tree\n")
-    with pytest.raises(cli.ConfigError, match="unknown key 'format'"):
-        cli.resolve_config(parser.parse_args([*command.split(), "--config", str(config)]))
 
 
 def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
@@ -285,168 +266,43 @@ def test_every_artifact_opens_with_its_fingerprint(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config files and precedence
-
-def test_config_file_supplies_defaults(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(
-        "[model]\nx = 0.9\n"
-        "[simulate]\nevents = 500\nseed = 7\n"
-        f"[output]\nout = {tmp_path / 'fromfile'}\n"
-    )
-    assert run("simulate", "--config", cfg) == 0
-    batch = read_events(tmp_path / "fromfile" / "events.csv")
-    config = batch.config
-    assert len(batch) == 500
-    assert config.seed == 7
-    assert config.params.delta_m == 0.9
-
-
-def test_cli_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[simulate]\nevents = 500\nseed = 7\n")
-    out = tmp_path / "o"
-    assert run("simulate", "--config", cfg, "--events", 123, "--out", out) == 0
-    config = read_events(out / "events.csv").config
-    assert config.n_events == 123
-    assert config.seed == 7  # untouched keys still come from the file
-
-
-def test_cli_model_flags_replace_file_model_wholesale(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[model]\ntau = 3.0\ndelta_m = 0.2\n")
-    out = tmp_path / "o"
-    assert run("simulate", "--config", cfg, "--x", 0.776, "--events", 50,
-               "--out", out) == 0
-    config = read_events(out / "events.csv").config
-    assert config.params.tau == 1.0  # file tau does not leak under --x
-    assert config.params.delta_m == 0.776
-
-
-def test_config_file_errors(tmp_path):
-    missing = tmp_path / "nope.ini"
-    assert run("simulate", "--config", missing, "--out", tmp_path / "o") == 2
-    bad_section = tmp_path / "bad1.ini"
-    bad_section.write_text("[mystery]\nkey = 1\n")
-    assert run("simulate", "--config", bad_section, "--out", tmp_path / "o") == 2
-    bad_key = tmp_path / "bad2.ini"
-    bad_key.write_text("[simulate]\nevvents = 10\n")
-    assert run("simulate", "--config", bad_key, "--out", tmp_path / "o") == 2
-    conflicted = tmp_path / "bad3.ini"
-    conflicted.write_text("[model]\nx = 0.7\ntau = 2.0\n")
-    assert run("simulate", "--config", conflicted, "--out", tmp_path / "o") == 2
-
-
-def test_a_config_path_that_cannot_be_read_exits_2(tmp_path, capsys, monkeypatch):
-    def one_error_line(config):
-        capsys.readouterr()
-        assert run("verify", "--config", config, "--out", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1, err
-        return err
-
-    missing = tmp_path / "nope.ini"
-    assert one_error_line(missing) == f"error: config file not found: {missing}\n"
-    assert one_error_line(tmp_path) == (
-        f"error: cannot read config file {tmp_path}: Is a directory\n")
-    unreadable = tmp_path / "run.ini"
-    unreadable.write_text("[simulate]\nevents = 7\n")
-
-    def denied(path, *args, **kwargs):  # a file mode that root would read through
-        raise PermissionError(13, "Permission denied", str(path))
-
-    monkeypatch.setattr(cli, "open", denied, raising=False)
-    assert one_error_line(unreadable) == (
-        f"error: cannot read config file {unreadable}: Permission denied\n")
-    assert not (tmp_path / "o").exists()
-
+# options
 
 def test_the_removed_format_option_and_threads_variable(tmp_path, capsys, monkeypatch):
-    # every command writes all its formats: --format and its key are unknown
-    with pytest.raises(SystemExit) as exc:
-        run("simulate", "--format", "machine-tree", "--out", tmp_path / "o")
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: unrecognized arguments: --format machine-tree\n"
-    config = tmp_path / "run.ini"
-    config.write_text("[output]\nformat = machine-tree\n")
-    assert run("simulate", "--config", config, "--out", tmp_path / "o") == 2
-    assert capsys.readouterr().err == "error: unknown key 'format' in config section [output]\n"
+    # every command writes all its formats, and each option is set by its flag
+    # alone: --format and --config are unknown
+    for removed in (["--format", "machine-tree"], ["--config", "run.ini"]):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", *removed, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(removed)}\n"
     assert not (tmp_path / "o").exists()
-    # the worker count comes from --threads, the threads key or the CPUs alone
+    # the worker count comes from --threads or the CPUs alone
     monkeypatch.setenv("BMIXLHV_THREADS", "not-a-number")
     args = cli.build_parser().parse_args(["simulate", "--threads", "3"])
     assert cli.resolve_config(args).threads == 3
 
 
-@pytest.mark.parametrize("text, error", [
-    (b"events = 7\n", "malformed config file"),  # no section header
-    (b"[simulate]\nevents = 7\nevents = 8\n", "malformed config file"),  # a key twice
-    (b"[simulate]\nevents = 7\n[simulate]\nseed = 3\n", "malformed config file"),
-    (b"[simulate]\nevents\n", "malformed config file"),  # a line with no "="
-    (b"[simulate]\nevents = 7\xff\n", "malformed config file"),  # not UTF-8
-    # a [DEFAULT] would reach every section, or none when it stands alone
-    (b"[DEFAULT]\nevents = 7\n", "unknown config section [DEFAULT]"),
-    (b"[DEFAULT]\nevents = 7\n[simulate]\nseed = 3\n", "unknown config section [DEFAULT]"),
-    # a value takes what its flag takes, "%" included
-    (b"[simulate]\nevents = 50\n[output]\nout = run%1\n", None),
-])
-def test_config_file_syntax(tmp_path, capsys, monkeypatch, text, error):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.ini").write_bytes(text)
-    capsys.readouterr()
-    code = run("simulate", "--config", "run.ini")
-    err = capsys.readouterr().err
-    if error is None:
-        assert (code, err) == (0, "")
-        assert (tmp_path / "run%1" / "events.bin").is_file()
-    else:
-        assert code == 2
-        assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
-        assert not (tmp_path / "out").exists()
-
-
-# Each case sets one option by its flag and by its config key; written out,
-# not derived from cli._OPTIONS, so that the table is checked against intent.
-_MODEL_CASES = [
-    (["--x", "0.9"], "[model]\nx = 0.9\n"),
-    (["--delta-m", "0.5"], "[model]\ndelta_m = 0.5\n"),
-    (["--tau", "2.5", "--delta-m", "0.5"], "[model]\ntau = 2.5\ndelta_m = 0.5\n"),
-]
-_OUTPUT_CASES = [
-    (["--out", "elsewhere"], "[output]\nout = elsewhere\n"),
-    (["--out", "run%1"], "[output]\nout = run%1\n"),  # no "%" interpolation
-]
-_SIMULATE_CASES = [
-    (["--events", "1234"], "[simulate]\nevents = 1234\n"),
-    (["--seed", "99"], "[simulate]\nseed = 99\n"),
-    (["--threads", "3"], "[output]\nthreads = 3\n"),
-    *[(["--symmetrized"], f"[simulate]\nsymmetrized = {word}\n")
-      for word in ("1", "yes", "True", "ON")],
-    *[([], f"[simulate]\nsymmetrized = {word}\n") for word in ("0", "no", "False", "OFF")],
-]
-_ANALYZE_CASES = [
-    (["--bins", "20"], "[analyze]\nbins = 20\n"),
-    (["--dt-max", "3.5"], "[analyze]\ndt_max = 3.5\n"),
+# Each case sets one option by its flag; written out, not derived from
+# cli._OPTIONS, so that the table is checked against intent.
+_MODEL_CASES = ["--x 0.9", "--delta-m 0.5", "--tau 2.5 --delta-m 0.5"]
+_OUTPUT_CASES = ["--out elsewhere", "--out run%1"]
+_SIMULATE_CASES = ["--events 1234", "--seed 99", "--threads 3", "--symmetrized"]
+_ANALYZE_CASES = ["--bins 20", "--dt-max 3.5"]
+_FLAG_CASES = [
+    *[("verify", case) for case in _MODEL_CASES + _OUTPUT_CASES],
+    *[("simulate", case) for case in _MODEL_CASES + _OUTPUT_CASES + _SIMULATE_CASES],
+    *[("analyze events.bin", case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
+    *[("scan 0.776", case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
 ]
 
 
-@pytest.mark.parametrize("command, flags, ini", [
-    *[("verify", *case) for case in _MODEL_CASES + _OUTPUT_CASES],
-    *[("simulate", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _SIMULATE_CASES],
-    *[("analyze events.bin", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
-    *[("scan 0.776", *case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
-])
-def test_a_flag_and_its_config_key_agree(tmp_path, command, flags, ini):
-    config = tmp_path / "run.ini"
-    config.write_text(ini)
+@pytest.mark.parametrize("command, flags", _FLAG_CASES, ids=[" ".join(c) for c in _FLAG_CASES])
+def test_each_flag_changes_the_resolved_run(command, flags):
+    def resolved(argv):
+        return cli.resolve_config(cli.build_parser().parse_args(argv.split()))
 
-    def resolved(*argv):
-        return cli.resolve_config(cli.build_parser().parse_args([*command.split(), *argv]))
-
-    by_flag = resolved(*flags)
-    assert resolved("--config", str(config)) == by_flag
-    if flags:
-        assert by_flag != resolved()
+    assert resolved(f"{command} {flags}") != resolved(command)
 
 
 # ---------------------------------------------------------------------------

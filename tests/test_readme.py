@@ -1,11 +1,10 @@
 """The README's examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 from bmixlhv import cli
-from bmixlhv.model import ModelParams
-from bmixlhv.montecarlo import SimConfig, read_events
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,14 +38,12 @@ def test_library_use_runs_as_written(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.bin", "events.csv"]
 
 
-def test_the_config_file_sample_serves_every_command(tmp_path, monkeypatch):
-    (block,) = _code_blocks("### Config file", "ini")
-    monkeypatch.chdir(tmp_path)
-    Path("run.ini").write_text(block, encoding="utf-8")
-    events = ["--events", "20000"]  # the flag wins over the sample's 10^6
-    for argv in (["verify"], ["simulate", *events], ["analyze", "simulate/events.bin"],
-                 ["scan", "0.776", *events]):
-        assert cli.main([*argv, "--config", "run.ini", "--out", argv[0]]) == 0, argv
-    # the file's model and seed reached the sample
-    assert read_events("simulate/events.bin").config == SimConfig(
-        params=ModelParams(1.0, 0.776), n_events=20000, seed=20260814)
+def test_command_line_examples_run_as_written(tmp_path, monkeypatch):
+    (block,) = _code_blocks("## Command line", "sh")
+    monkeypatch.chdir(tmp_path)  # analyze reads the run1/ that simulate writes
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line and not line.startswith("#")]
+    assert len(commands) == 4
+    for argv in commands:
+        assert argv[0] == "bmixlhv"
+        assert cli.main(argv[1:]) == 0, argv
