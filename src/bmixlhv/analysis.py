@@ -225,12 +225,12 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     Bins are merged rightward until each group carries at least
     :data:`MIN_EXPECTED_PER_BIN` expected events in both classes; the same
-    groups serve both chi-square statistics and the asymmetry fit, and the
-    expectations are normalized to each class's observed in-range total
-    (shape comparison).  dof = groups - 2: one for that normalization, one
-    for the fitted delta_m.  The fit maximizes the binomial likelihood of
-    each group's opposite/same split under its exact group-averaged model
-    asymmetry.  It scans delta_m at 201 points over [0.5, 1.5] times the
+    groups serve both chi-square statistics and the asymmetry fit.  Each
+    chi-square is taken at the reference delta_m, its expectations
+    normalized to its class's observed in-range total (shape comparison), so
+    dof = groups - 1: one for that normalization.  The fit maximizes the
+    binomial likelihood of each group's opposite/same split under its exact
+    group-averaged model asymmetry.  It scans delta_m at 201 points over [0.5, 1.5] times the
     reference, then :data:`FIT_ZOOMS` times at :data:`FIT_ZOOM_POINTS` from
     the best point's left neighbour to its right one, each scan one array
     pass, and takes the vertex of the parabola through the last best point
@@ -280,7 +280,7 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
 
     chi2_same = pearson(obs_same, mod_same)
     chi2_opp = pearson(obs_opp, mod_opp)
-    dof = n_groups - 2
+    dof = n_groups - 1
 
     if np.any(obs_same + obs_opp == 0.0):
         raise FitRefusedError("a merged group contains no events")

@@ -238,7 +238,7 @@ def test_exact_counts_fit_perfectly():
     assert fit.p_value_same == 1.0 and fit.p_value_opposite == 1.0
     assert fit.fitted_delta_m == pytest.approx(DEFAULT.delta_m, abs=1e-9)
     assert fit.fitted_delta_m_error > 0.0
-    assert fit.dof == fit.n_groups - 2
+    assert fit.dof == fit.n_groups - 1
 
 
 def test_chi2_scales_linearly_with_counts():
@@ -270,7 +270,7 @@ def test_fit_recovers_delta_m_from_samples(small_batch):
     assert 0.0 < fit.p_value_same < 1.0
     # 20k events starve the early same-flavour bins into merged groups
     assert 20 <= fit.n_groups < 50
-    assert fit.dof == fit.n_groups - 2
+    assert fit.dof == fit.n_groups - 1
 
 
 def test_delta_m_error_matches_the_spread_of_the_fits():
@@ -278,18 +278,22 @@ def test_delta_m_error_matches_the_spread_of_the_fits():
     # 1e5 events: class-bin counts drawn from the exact cell probabilities.
     # Pulls (fitted - true) / error must scatter with s.d. 1, within 0.06, about
     # 2.7 standard errors.  A fit that weights each group by its observed
-    # asymmetry gave 1.096 on this seed, its error too small by a tenth
+    # asymmetry gave 1.096 on this seed, its error too small by a tenth.  The
+    # per-class chi-squares, each normalized to its class total, must average
+    # to their dof within 3 standard errors: 37.89 +- 0.196 on 39 groups
     edges = np.linspace(0.0, 5.0, 51)
     n = 100_000
     cells = np.concatenate([expected_counts(1, edges, 1, DEFAULT),
                             expected_counts(2, edges, 1, DEFAULT)])
-    pulls = []
+    pulls, chi2 = [], []
     for counts in np.random.default_rng(1).multinomial(n, np.append(cells, 1.0 - cells.sum()),
                                                        size=1000):
         fit = goodness_of_fit(BinnedRates(edges, counts[:50], counts[50:100], n), DEFAULT)
         pulls.append((fit.fitted_delta_m - DEFAULT.delta_m) / fit.fitted_delta_m_error)
+        chi2.append(0.5 * (fit.chi2_same + fit.chi2_opposite))
     assert abs(np.std(pulls, ddof=1) - 1.0) < 0.06
     assert abs(np.mean(pulls)) < 0.1  # 3 standard errors
+    assert abs(np.mean(chi2) - fit.dof) < 3.0 * np.std(chi2, ddof=1) / np.sqrt(len(chi2))
 
 
 def test_fit_refuses_starved_histograms():

@@ -71,7 +71,7 @@ def test_analyze_fits_the_simulated_file(tmp_path, capsys):
     fit = yaml.safe_load((fit_out / "analysis_fit.yaml").read_text())
     assert fit["true_delta_m"] == 0.776
     assert abs(fit["fitted_delta_m"] - 0.776) / 0.776 < 0.05
-    assert fit["dof"] == fit["n_groups"] - 2
+    assert fit["dof"] == fit["n_groups"] - 1
     for name in ("analysis_fit.txt", "analysis_fit.csv", "analysis_bins.csv",
                  "analysis_curves.csv"):
         assert (fit_out / name).exists()
@@ -145,9 +145,9 @@ def test_analyze_adopts_file_parameters(tmp_path):
 GOLDEN_ANALYSIS_SHA256 = {
     "analysis_bins.csv": "7b8c02158e01324eb760463ea733ea9aeff57eb9d4f525d1295e68d2ddf86784",
     "analysis_curves.csv": "113dfe1b15c43adafdba84344c52e924375f857e422e1dd74388866854192451",
-    "analysis_fit.csv": "72a0478bdf1bc746798705e2d5950226e74ae6a65bcf9d7e8dadfa058cdb375f",
-    "analysis_fit.txt": "2e1199c6430fdd18b77e6450df84f0bf9a32cd7ef7829eef6296a17442236f69",
-    "analysis_fit.yaml": "60c4011276d880e9386e68d238e1ea3ad0e8c0cdcd61e31b9549eac6a2188246",
+    "analysis_fit.csv": "748b314f0f0c4a2672954f2e3402fbcf9d7b166fb4a2594e2d7b6fed22d10ab8",
+    "analysis_fit.txt": "11170992c0379ccdbfdabda5bae5d5dbabd2d3e6402d561f914ea464564eca32",
+    "analysis_fit.yaml": "b732d2f65ee378012607cedee2a1125048271c7d66395d22288ddb28456657ce",
 }
 
 
