@@ -31,9 +31,9 @@ __all__ = [
 
 MIN_EXPECTED_PER_BIN = 10.0
 # most lag bins a command takes.  On a 2-vCPU host, analyze of a
-# 10^6-event events.bin peaked at 163 MiB in 2-3 s at this many bins, against
-# 76 MiB in 0.3 s at 50: its per-bin CSV text grows with the bin count, and
-# 10^9 bins would need 7.5 GiB for the edges alone
+# 10^6-event events.bin peaked at 105 MiB in about 2 s at this many bins,
+# against 76 MiB in about 0.5 s at 50: its per-bin CSV text grows with the bin
+# count, and 10^9 bins would need 7.5 GiB for the edges alone
 MAX_BINS = 100_000
 BIN_CHUNK_EVENTS = 65_536  # events bin_events places per pass; no count depends on it
 
@@ -230,13 +230,14 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
     normalized to its class's observed in-range total (shape comparison), so
     dof = groups - 1: one for that normalization.  The fit maximizes the
     binomial likelihood of each group's opposite/same split under its exact
-    group-averaged model asymmetry.  It scans delta_m at 201 points over [0.5, 1.5] times the
-    reference, then :data:`FIT_ZOOMS` times at :data:`FIT_ZOOM_POINTS` from
-    the best point's left neighbour to its right one, each scan one array
-    pass, and takes the vertex of the parabola through the last best point
-    and its neighbours; the error is 1/sqrt of the curvature of -log L
-    there.  The p-values are the chi-square survival function at dof, summed
-    from its closed form by :func:`_chi2_sf`.
+    group-averaged model asymmetry.  It scans delta_m at 201 points over
+    [0.5, 1.5] times the reference, in row blocks, then :data:`FIT_ZOOMS`
+    times at :data:`FIT_ZOOM_POINTS` from the best point's left neighbour to
+    its right one, each zoom one array pass, and takes the vertex of the
+    parabola through the last best point and its neighbours; the error is
+    1/sqrt of the curvature of -log L there.  The p-values are the
+    chi-square survival function at dof, summed from its closed form by
+    :func:`_chi2_sf`.
 
     Refused when a bin is wider than half an oscillation period, pi/delta_m:
     the binned asymmetry then aliases and the fit converges on a wrong
@@ -301,7 +302,8 @@ def goodness_of_fit(binned: BinnedRates, params: ModelParams) -> FitResult:
         return np.sum(terms, axis=-1)
 
     scan = np.linspace(0.5 * params.delta_m, 1.5 * params.delta_m, 201)
-    values = objective(scan[:, None])
+    # in row blocks, so that no temporary holds every group at all 201 points
+    values = np.concatenate([objective(rows[:, None]) for rows in np.array_split(scan, 10)])
     j = int(np.argmin(values))
     if not (0 < j < scan.size - 1 and values[j] < values[j - 1] and values[j] < values[j + 1]):
         raise FitRefusedError(

@@ -296,6 +296,20 @@ def test_delta_m_error_matches_the_spread_of_the_fits():
     assert abs(np.mean(chi2) - fit.dof) < 3.0 * np.std(chi2, ddof=1) / np.sqrt(len(chi2))
 
 
+def test_fit_scratch_memory_does_not_grow_with_the_scan():
+    """At the most bins a command takes, 10^6 events merge into some 11 000
+    groups, where one (201, groups) float array of the delta_m scan takes
+    17.7 MB: the fit must peak under 32 MiB."""
+    binned = _exact_binned(bins=analysis.MAX_BINS)
+    tracemalloc.start()
+    try:
+        goodness_of_fit(binned, DEFAULT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+
 def test_fit_refuses_starved_histograms():
     with pytest.raises(FitRefusedError):
         goodness_of_fit(_exact_binned(n=20), DEFAULT)
