@@ -283,26 +283,55 @@ def test_the_removed_format_option_and_threads_variable(tmp_path, capsys, monkey
     assert cli.resolve_config(args).threads == 3
 
 
-# Each case sets one option by its flag; written out, not derived from
+# Each case sets one option by its flag, beside a `key = value` line that
+# names the option by its cli._OPTIONS key and gives the value it must take
+# (the [section] lines are not read); written out, not derived from
 # cli._OPTIONS, so that the table is checked against intent.
-_MODEL_CASES = ["--x 0.9", "--delta-m 0.5", "--tau 2.5 --delta-m 0.5"]
-_OUTPUT_CASES = ["--out elsewhere", "--out run%1"]
-_SIMULATE_CASES = ["--events 1234", "--seed 99", "--threads 3", "--symmetrized"]
-_ANALYZE_CASES = ["--bins 20", "--dt-max 3.5"]
-_FLAG_CASES = [
-    *[("verify", case) for case in _MODEL_CASES + _OUTPUT_CASES],
-    *[("simulate", case) for case in _MODEL_CASES + _OUTPUT_CASES + _SIMULATE_CASES],
-    *[("analyze events.bin", case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
-    *[("scan 0.776", case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
+_MODEL_CASES = [
+    (["--x", "0.9"], "[model]\nx = 0.9\n"),
+    (["--delta-m", "0.5"], "[model]\ndelta_m = 0.5\n"),
+    (["--tau", "2.5", "--delta-m", "0.5"], "[model]\ntau = 2.5\ndelta_m = 0.5\n"),
 ]
+_OUTPUT_CASES = [
+    (["--out", "elsewhere"], "[output]\nout = elsewhere\n"),
+    (["--out", "run%1"], "[output]\nout = run%1\n"),  # no "%" interpolation
+]
+_SIMULATE_CASES = [
+    (["--events", "1234"], "[simulate]\nevents = 1234\n"),
+    (["--seed", "99"], "[simulate]\nseed = 99\n"),
+    (["--threads", "3"], "[output]\nthreads = 3\n"),
+    *[(["--symmetrized"], f"[simulate]\nsymmetrized = {word}\n")
+      for word in ("1", "yes", "True", "ON")],
+    *[([], f"[simulate]\nsymmetrized = {word}\n") for word in ("0", "no", "False", "OFF")],
+]
+_ANALYZE_CASES = [
+    (["--bins", "20"], "[analyze]\nbins = 20\n"),
+    (["--dt-max", "3.5"], "[analyze]\ndt_max = 3.5\n"),
+]
+_BOOLEAN_WORDS = {"1": True, "yes": True, "true": True, "on": True,
+                  "0": False, "no": False, "false": False, "off": False}
 
 
-@pytest.mark.parametrize("command, flags", _FLAG_CASES, ids=[" ".join(c) for c in _FLAG_CASES])
-def test_each_flag_changes_the_resolved_run(command, flags):
-    def resolved(argv):
-        return cli.resolve_config(cli.build_parser().parse_args(argv.split()))
+@pytest.mark.parametrize("command, flags, ini", [
+    *[("verify", *case) for case in _MODEL_CASES + _OUTPUT_CASES],
+    *[("simulate", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _SIMULATE_CASES],
+    *[("analyze events.bin", *case) for case in _MODEL_CASES + _OUTPUT_CASES + _ANALYZE_CASES],
+    *[("scan 0.776", *case) for case in _OUTPUT_CASES + _SIMULATE_CASES + _ANALYZE_CASES],
+])
+def test_a_flag_and_its_config_key_agree(command, flags, ini):
+    def resolved(*argv):
+        return cli.resolve_config(cli.build_parser().parse_args([*command.split(), *argv]))
 
-    assert resolved(f"{command} {flags}") != resolved(command)
+    by_flag = resolved(*flags)
+    for line in ini.splitlines():
+        if line.startswith("["):
+            continue
+        key, value = (part.strip() for part in line.split("="))
+        got = getattr(by_flag, key)
+        want = _BOOLEAN_WORDS[value.lower()] if isinstance(got, bool) else type(got)(value)
+        assert got == want, (key, got)
+    if flags:
+        assert by_flag != resolved()
 
 
 # ---------------------------------------------------------------------------
