@@ -377,14 +377,16 @@ def cmd_scan(cfg: SimpleNamespace, x_values: list[float]) -> int:
     def sample(params):  # and only the fit, so that no batch outlives its x
         try:
             config = dataclasses.replace(cfg.sim, params=params)
-            batch = montecarlo.generate(config, workers=cfg.threads)
+            batch = montecarlo.generate(config, workers=max(1, cfg.threads - 1))
             return _bin_and_fit(batch, params, cfg.bins, dt_max)[1]
         except (montecarlo.RejectionOverflowError, analysis.FitRefusedError) as exc:
             return exc
 
     # Every x's quadrature runs on one thread beside every x's sampling on
-    # another.  This thread only collects the results in x order and opens no
-    # span: perfbench's tracer hangs a pool thread's spans under this thread's.
+    # another, whose generate samples on --threads - 1 workers (one at least):
+    # the quadrature and the samplers keep at most --threads busy from 2 up.
+    # This thread only collects the results in x order and opens no span:
+    # perfbench's tracer hangs a pool thread's spans under this thread's.
     params = [ModelParams(1.0, x) for x in x_values]
     with montecarlo._thread_map(verify, 1, params) as reports, \
             montecarlo._thread_map(sample, 1, params) as fits:

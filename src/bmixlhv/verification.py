@@ -6,9 +6,10 @@ re-derived by quadrature of the model-core functions.  One fixed-order rule,
 between the known kinks (window edges, clipped-cosine zeros), with the
 10-point rule on the same parts as its error estimate.  The densities take
 arrays, so every integral of a check, over all its grid points at once, is
-one array evaluation.  A whole :func:`full_verification` takes 45-70 ms at
-x <= 5 and about 5 s at x = 1000 on a 2-vCPU host.  Results are collected
-into a :class:`QuadratureReport` of named checks.
+one array evaluation, and one pass serves both flavours of a side.  A whole
+:func:`full_verification` takes 40-60 ms at x <= 5 and about 3 s at
+x = 1000 on a 2-vCPU host.  Results are collected into a
+:class:`QuadratureReport` of named checks.
 """
 
 from __future__ import annotations
@@ -67,13 +68,15 @@ QUAD_GUARD = 1e-9
 # them (about 200 MiB of temporaries); the largest at x = 1000 takes 0.4 M,
 # and x = 1e-4 would take 7.5 M
 QUAD_MAX_NODES = 2**22
-# most nodes per quad call of check_normalizations' phases, one phase at least
+# most nodes per quad call of check_normalizations' phases, one phase at least;
+# a call's scratch holds both flavours' values at each node
 PHASE_PASS_NODES = 2**15
 
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
 
-_FLAVOUR_PAIRS = [(k, l) for k in Flavour for l in Flavour]
+# both flavour codes, the leading axis of a one-pass evaluation of a density
+_FLAVOURS = np.array(list(Flavour))
 
 
 class QuadratureError(RuntimeError):
@@ -133,8 +136,9 @@ def quad(integrand, edges, max_width: float, label: str):
     piece is split evenly into the same number of parts, enough that none is
     wider than ``max_width``, and each part gets the 20-point Gauss-Legendre
     rule.  ``integrand`` receives all nodes of a row along one trailing axis
-    (shape ``edges.shape[:-1] + (nodes,)``) and must broadcast over it.  The
-    summed |20-point - 10-point| difference is the error estimate; above
+    (shape ``edges.shape[:-1] + (nodes,)``) and must broadcast over it; axes
+    its values have beyond those lead the result's.  The summed
+    |20-point - 10-point| difference is the error estimate; above
     :data:`QUAD_GUARD` it raises :class:`QuadratureError` naming ``label``,
     so a kink inside a part is refused rather than integrated badly; so it
     does, before allocating, when the rule needs more than
@@ -153,7 +157,8 @@ def quad(integrand, edges, max_width: float, label: str):
 
     def rule(nodes, weights):  # per-part sums, shape (..., pieces, parts)
         x = mids[..., None] + half[..., None] * nodes
-        return half * (integrand(x.reshape(*edges.shape[:-1], -1)).reshape(x.shape) @ weights)
+        values = integrand(x.reshape(*edges.shape[:-1], -1))
+        return half * (values.reshape(values.shape[:values.ndim - edges.ndim] + x.shape) @ weights)
 
     parts = rule(*_GAUSS_20)
     total = parts.sum(axis=(-2, -1))
@@ -178,17 +183,21 @@ def reconstruct_joint(k, l, t1, t2, params: ModelParams):
     The phase density contributes 1/(4 tau N); the second-side law is
     N * q_shape, so N cancels and the integrand reduces to
     p_density * q_shape / (4 tau).  Breakpoints: the two window edges of the
-    first side and the two cosine zeros of the second side.
+    first side and the two cosine zeros of the second side.  ``l`` may be an
+    array of second-side flavours: its axes lead the result's, and the
+    first-side density and the cosine are evaluated once for all of them.
     """
     tau, dm = params.tau, params.delta_m
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     edges = _phase_edges(dm * t1 + HALF_PI, dm * t1 + THREE_HALF_PI,
                          dm * t2 + HALF_PI, dm * t2 + THREE_HALF_PI)
+    l = np.asarray(l)
 
     def integrand(lam):
-        return p_density(k, lam, t1[..., None], params) * q_shape(l, lam, t2[..., None], params)
+        return (p_density(k, lam, t1[..., None], params)
+                * q_shape(l.reshape(l.shape + (1,) * lam.ndim), lam, t2[..., None], params))
 
-    val = quad(integrand, edges, HALF_PI, f"joint reconstruction k={int(k)} l={int(l)}")
+    val = quad(integrand, edges, HALF_PI, f"joint reconstruction k={int(k)} l={l.tolist()}")
     return val / (4.0 * tau)
 
 
@@ -267,15 +276,16 @@ def check_normalizations(params: ModelParams) -> QuadratureReport:
     step = max(1, PHASE_PASS_NODES // row_nodes) if 2.0 * period <= t_max else 1
     lams = (np.arange(LAMBDA_SAMPLES) + 0.5) * TWO_PI / LAMBDA_SAMPLES
     p_total, q_total = np.empty(LAMBDA_SAMPLES), np.empty(LAMBDA_SAMPLES)
+    codes = _FLAVOURS[:, None, None]  # ahead of a (phases, nodes) array
     for start in range(0, LAMBDA_SAMPLES, step):
         lam = lams[start:start + step, None]
         flips = ((lam - HALF_PI) % math.pi) / dm + np.arange(n_flips) * period
         edges = np.pad(np.minimum(flips, t_max), ((0, 0), (1, 1)), constant_values=(0.0, t_max))
         p_total[start:start + step] = quad(
-            lambda t: sum(p_density(k, lam, t, params) for k in Flavour), edges, time_width,
+            lambda t: p_density(codes, lam, t, params).sum(axis=0), edges, time_width,
             f"first-side normalization lam={float(lams[start])!r}")
         q_total[start:start + step] = quad(
-            lambda t: sum(q_shape(l, lam, t, params) for l in Flavour), edges, time_width,
+            lambda t: q_shape(codes, lam, t, params).sum(axis=0), edges, time_width,
             f"second-side normalization lam={float(lams[start])!r}")
     q_total /= inverse_n(lams, params)
     for j in range(LAMBDA_SAMPLES):
@@ -306,21 +316,23 @@ def full_verification(params: ModelParams) -> QuadratureReport:
     tt1, tt2 = np.meshgrid(times, times)
     s_grid = np.linspace(0.0, 4.0 * math.pi, S_SAMPLES)
 
-    for k, l in _FLAVOUR_PAIRS:
-        pair = f"k{int(k)}l{int(l)}"
-        rebuilt = reconstruct_joint(k, l, tt1, tt2, params)
-        target = quantum.joint_density(k, l, tt1, tt2, params)
-        report.add(f"joint_reconstruction/{pair}", 0.0,
-                   float(np.max(np.abs(rebuilt - target))), JOINT_TOLERANCE)
+    for k in Flavour:
+        # both l in one pass: all four pairs in one would double its scratch again
+        rebuilt_l = reconstruct_joint(k, _FLAVOURS, tt1, tt2, params)
+        for l, rebuilt in zip(Flavour, rebuilt_l):
+            pair = f"k{int(k)}l{int(l)}"
+            target = quantum.joint_density(k, l, tt1, tt2, params)
+            report.add(f"joint_reconstruction/{pair}", 0.0,
+                       float(np.max(np.abs(rebuilt - target))), JOINT_TOLERANCE)
 
-        computed, closed = check_i_kl(k, l, s_grid)
-        report.add(f"i_kl_quadrature/{pair}", 0.0,
-                   float(np.max(np.abs(computed - closed))), IKL_TOLERANCE)
+            computed, closed = check_i_kl(k, l, s_grid)
+            report.add(f"i_kl_quadrature/{pair}", 0.0,
+                       float(np.max(np.abs(computed - closed))), IKL_TOLERANCE)
 
-        lhs = quantum.conditional_from_joint(k, l, tt1, tt2, params)
-        rhs = quantum.conditional_rate(quantum.pair_class(k, l), np.abs(tt1 - tt2), params)
-        report.add(f"conditional_relation/{pair}", 0.0,
-                   float(np.max(np.abs(lhs - rhs))), CONDITIONAL_TOLERANCE)
+            lhs = quantum.conditional_from_joint(k, l, tt1, tt2, params)
+            rhs = quantum.conditional_rate(quantum.pair_class(k, l), np.abs(tt1 - tt2), params)
+            report.add(f"conditional_relation/{pair}", 0.0,
+                       float(np.max(np.abs(lhs - rhs))), CONDITIONAL_TOLERANCE)
 
     report.merge(check_normalizations(params))
     return report

@@ -195,6 +195,29 @@ def test_thread_count_does_not_change_output_bytes(tmp_path):
     ).read_bytes()
 
 
+def test_scan_samples_on_the_threads_its_quadrature_leaves_free(tmp_path, monkeypatch):
+    # the quadrature thread and generate's workers together stay within
+    # --threads (at 1 there are still two), and the summary is the same
+    generate, seen = cli.montecarlo.generate, []
+
+    def recording(config, workers=1):
+        seen.append(workers)
+        return generate(config, workers)
+
+    monkeypatch.setattr(cli.montecarlo, "generate", recording)
+    names = ("scan_summary.csv", "scan_summary.txt", "scan_summary.yaml")
+    workers, summaries = [], []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert run("scan", "0.776", "2", "--events", 2000, "--threads", threads,
+                   "--out", out) == 0
+        workers.append(sorted(set(seen)))
+        seen.clear()
+        summaries.append([(out / name).read_bytes() for name in names])
+    assert workers == [[1], [1], [2]]
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
 @pytest.mark.parametrize("symmetrized", [(), ("--symmetrized",)])
 def test_hand_off_bytes_are_reproducible_across_runs_and_threads(tmp_path, symmetrized):
     args = ("simulate", "--x", 0.776, "--events", 3001, "--seed", 13, *symmetrized)

@@ -142,6 +142,20 @@ def test_reconstruct_joint_array_matches_scalar_calls(k, l):
     np.testing.assert_allclose(grid, scalar, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("x", [0.776, 5.0, 1000.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_reconstruct_joint_over_both_second_flavours_gives_each_bit_for_bit(k, x):
+    # one pass over l = 1, 2 shares the window and the cosine, and must give
+    # each flavour's own call exactly
+    params = ModelParams(1.0, x)
+    times = np.linspace(0.0, 5.0, 21)
+    tt1, tt2 = np.meshgrid(times, times)
+    both = reconstruct_joint(k, [1, 2], tt1, tt2, params)
+    assert both.shape == (2, 21, 21)
+    for j, l in enumerate((1, 2)):
+        assert np.array_equal(both[j], reconstruct_joint(k, l, tt1, tt2, params))
+
+
 def test_reconstruct_joint_scales_with_lifetime():
     # time unit in, 1/tau^2 out: r(tau t1, tau t2; tau) = r(t1, t2; 1)/tau^2
     tau = 2.0
@@ -217,6 +231,29 @@ def test_phases_integrated_together_give_each_phase_bit_for_bit(monkeypatch, x):
     together = {c.name: c.computed for c in check_normalizations(params).checks}
     monkeypatch.setattr(verification, "PHASE_PASS_NODES", 1)
     assert {c.name: c.computed for c in check_normalizations(params).checks} == together
+
+
+@pytest.mark.parametrize("x", [0.776, 5.0])
+def test_normalizations_sum_the_flavours_as_the_per_flavour_sum_does(monkeypatch, x):
+    # all 64 phases in one quad call: its p and q totals must be those of the
+    # reference, quad of the Python sum of one density call per flavour
+    params = ModelParams(1.0, x)
+    monkeypatch.setattr(verification, "PHASE_PASS_NODES", 2**30)
+    computed = {c.name: c.computed for c in check_normalizations(params).checks}
+    t_max = verification.T_MAX_LIFETIMES
+    period = math.pi / x
+    n_flips = math.ceil(t_max / period) + 1
+    lams = (np.arange(64) + 0.5) * 2.0 * math.pi / 64
+    lam = lams[:, None]
+    flips = ((lam - 0.5 * math.pi) % math.pi) / x + np.arange(n_flips) * period
+    edges = np.pad(np.minimum(flips, t_max), ((0, 0), (1, 1)), constant_values=(0.0, t_max))
+    width = min(1.0, period)
+    p_total = quad(lambda t: sum(p_density(k, lam, t, params) for k in Flavour), edges,
+                   width, "reference p")
+    q_total = quad(lambda t: sum(q_shape(l, lam, t, params) for l in Flavour), edges,
+                   width, "reference q") / inverse_n(lams, params)
+    assert [computed[f"p_normalization/lambda_{j:03d}"] for j in range(64)] == p_total.tolist()
+    assert [computed[f"q_normalization/lambda_{j:03d}"] for j in range(64)] == q_total.tolist()
 
 
 @pytest.mark.parametrize("x", [0.01, 50.0])
