@@ -375,22 +375,24 @@ def cmd_scan(cfg: SimpleNamespace, x_values: list[float]) -> int:
             return exc
 
     def sample(params):  # and only the fit, so that no batch outlives its x
+        report = pool.submit(verify, params)  # queued just ahead of the x's blocks
         try:
             config = dataclasses.replace(cfg.sim, params=params)
-            batch = montecarlo.generate(config, workers=max(1, cfg.threads - 1))
-            return _bin_and_fit(batch, params, cfg.bins, dt_max)[1]
+            batch = montecarlo.generate(config, workers=pool)
+            return report, _bin_and_fit(batch, params, cfg.bins, dt_max)[1]
         except (montecarlo.RejectionOverflowError, analysis.FitRefusedError) as exc:
-            return exc
+            return report, exc
 
-    # Every x's quadrature runs on one thread beside every x's sampling on
-    # another, whose generate samples on --threads - 1 workers (one at least):
-    # the quadrature and the samplers keep at most --threads busy from 2 up.
-    # This thread only collects the results in x order and opens no span:
+    # Each x's quadrature and its sampling blocks run on one pool of --threads
+    # threads (two at least), so the blocks take every thread the quadrature
+    # leaves free.  One more thread runs each x's generate and fit in turn;
+    # this one only collects the results in x order and opens no span:
     # perfbench's tracer hangs a pool thread's spans under this thread's.
     params = [ModelParams(1.0, x) for x in x_values]
-    with montecarlo._thread_map(verify, 1, params) as reports, \
-            montecarlo._thread_map(sample, 1, params) as fits:
-        for x, report, fit in zip(x_values, reports, fits):
+    with montecarlo._thread_pool(max(2, cfg.threads)) as pool, \
+            montecarlo._thread_pool(1) as sampler:
+        for x, (report, fit) in zip(x_values, sampler.map(sample, params)):
+            report = report.result()
             error = next((r for r in (report, fit) if isinstance(r, Exception)), None)
             if error is not None:  # the verification error first, as when x ran in turn
                 rows.append((x, math.nan, False, math.nan, math.nan, math.nan, math.nan,

@@ -405,26 +405,25 @@ def generate_events(config: SimConfig, start: int, stop: int) -> EventBatch:
 
 
 @contextlib.contextmanager
-def _thread_map(fn, workers: int, *sequences):
-    """``map(fn, *sequences)``, results in order, on a pool of
-    ``min(workers, len(sequences[0]))`` threads.
+def _thread_pool(workers: int):
+    """A pool of ``workers`` threads.
 
-    Every item is submitted on entry.  On exit, by an error or an interrupt
-    too, items not yet started are cancelled, and the threads end once
-    their current item does.
+    On exit, by an error or an interrupt too, items not yet started are
+    cancelled, and the threads end once their current item does.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(sequences[0])))
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     try:
-        yield pool.map(fn, *sequences)
+        yield pool
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def generate(config: SimConfig, workers: int = 1) -> EventBatch:
+def generate(config: SimConfig, workers=1) -> EventBatch:
     """Generate the full batch in blocks of :data:`GENERATE_BLOCK_EVENTS`
-    events on at most ``workers`` threads (:func:`_thread_map`).
+    events on at most ``workers`` threads (:func:`_thread_pool`), or on the
+    threads of ``workers`` if it is an executor, shared with other work.
 
     Each block runs :func:`generate_events` and fills its own slice of the
     result columns, so peak temporary memory is set by the block size and
@@ -443,8 +442,9 @@ def generate(config: SimConfig, workers: int = 1) -> EventBatch:
             column[start:stop] = values
         return part.rng_stats
 
-    with _thread_map(fill, workers, blocks) as results:
-        stats = list(results)
+    with (contextlib.nullcontext(workers) if isinstance(workers, concurrent.futures.Executor)
+          else _thread_pool(min(workers, len(blocks)))) as pool:
+        stats = list(pool.map(fill, blocks))
     columns["swapped"] = columns["swapped"].view(np.bool_)
     return EventBatch(
         **columns,
@@ -479,7 +479,7 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
 
     Rows are formatted column-wise, as bytes, by :func:`_format_rows` in
     blocks of :data:`WRITE_CHUNK_ROWS` on ``min(workers, blocks)`` threads
-    (:func:`_thread_map`, as :func:`generate` samples), and written in order
+    (:func:`_thread_pool`, as :func:`generate` samples), and written in order
     as they return.  The bytes are those of one ``repr`` per float; they
     depend neither on ``workers`` nor on the block size, and the file
     appears under ``path`` only once it is complete.  An error or an
@@ -494,8 +494,8 @@ def write_events(batch: EventBatch, path, workers: int = 1) -> None:
     # one list of block slices per column, in _format_rows' argument order
     columns = [[column[start:start + WRITE_CHUNK_ROWS] for start in starts]
                for column in batch.columns().values()]
-    with _thread_map(_format_rows, workers, *columns) as texts, \
-            open_atomic(path, binary=True) as fh:
+    with _thread_pool(min(workers, len(starts))) as pool, open_atomic(path, binary=True) as fh:
+        texts = pool.map(_format_rows, *columns)
         fh.write(_header_text(batch).encode("utf-8"))
         for text in texts:
             fh.write(text)

@@ -6,10 +6,9 @@ re-derived by quadrature of the model-core functions.  One fixed-order rule,
 between the known kinks (window edges, clipped-cosine zeros), with the
 10-point rule on the same parts as its error estimate.  The densities take
 arrays, so every integral of a check, over all its grid points at once, is
-one array evaluation, and one pass serves both flavours of a side.  A whole
-:func:`full_verification` takes 40-60 ms at x <= 5 and about 3 s at
-x = 1000 on a 2-vCPU host.  Results are collected into a
-:class:`QuadratureReport` of named checks.
+one array evaluation.  A whole :func:`full_verification` takes 40-60 ms at
+x <= 5 and about 3 s at x = 1000 on a 2-vCPU host.  Results are collected
+into a :class:`QuadratureReport` of named checks.
 """
 
 from __future__ import annotations
@@ -65,8 +64,9 @@ LAMBDA_SAMPLES = 64
 # a quadrature whose 20- and 10-point rules differ by more than this fails
 QUAD_GUARD = 1e-9
 # a quadrature needing more Gauss nodes than this fails before allocating
-# them (about 200 MiB of temporaries); the largest at x = 1000 takes 0.4 M,
-# and x = 1e-4 would take 7.5 M
+# them; the largest at x = 1000 takes 0.4 M, and x = 1e-4 would take 7.5 M.
+# verify peaks at 300 MiB at the largest x it admits, about 1.09e4 (4.0 M nodes
+# with both flavours' values), and at 230 MiB near the smallest, 2.1e-4
 QUAD_MAX_NODES = 2**22
 # most nodes per quad call of check_normalizations' phases, one phase at least;
 # a call's scratch holds both flavours' values at each node
@@ -75,8 +75,7 @@ PHASE_PASS_NODES = 2**15
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
 
-# both flavour codes, the leading axis of a one-pass evaluation of a density
-_FLAVOURS = np.array(list(Flavour))
+_FLAVOURS = np.array(list(Flavour))  # the leading axis of a one-pass evaluation
 
 
 class QuadratureError(RuntimeError):
@@ -184,20 +183,19 @@ def reconstruct_joint(k, l, t1, t2, params: ModelParams):
     N * q_shape, so N cancels and the integrand reduces to
     p_density * q_shape / (4 tau).  Breakpoints: the two window edges of the
     first side and the two cosine zeros of the second side.  ``l`` may be an
-    array of second-side flavours: its axes lead the result's, and the
-    first-side density and the cosine are evaluated once for all of them.
+    array of second-side flavours, all rebuilt in one pass: its axes lead.
     """
     tau, dm = params.tau, params.delta_m
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     edges = _phase_edges(dm * t1 + HALF_PI, dm * t1 + THREE_HALF_PI,
                          dm * t2 + HALF_PI, dm * t2 + THREE_HALF_PI)
-    l = np.asarray(l)
+    l = np.reshape(l, np.shape(l) + (1,) * edges.ndim)  # ahead of the nodes' axes
 
     def integrand(lam):
-        return (p_density(k, lam, t1[..., None], params)
-                * q_shape(l.reshape(l.shape + (1,) * lam.ndim), lam, t2[..., None], params))
+        return p_density(k, lam, t1[..., None], params) * q_shape(l, lam, t2[..., None], params)
 
-    val = quad(integrand, edges, HALF_PI, f"joint reconstruction k={int(k)} l={l.tolist()}")
+    val = quad(integrand, edges, HALF_PI,
+               f"joint reconstruction k={int(k)} l={l.squeeze().tolist()}")
     return val / (4.0 * tau)
 
 

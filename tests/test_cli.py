@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -196,25 +198,43 @@ def test_thread_count_does_not_change_output_bytes(tmp_path):
 
 
 def test_scan_samples_on_the_threads_its_quadrature_leaves_free(tmp_path, monkeypatch):
-    # the quadrature thread and generate's workers together stay within
-    # --threads (at 1 there are still two), and the summary is the same
-    generate, seen = cli.montecarlo.generate, []
+    # the quadratures and generate's blocks share one pool of --threads
+    # threads (two at least): never more are busy at once, the blocks take
+    # every thread of it once the quadratures are done, and the summary is
+    # the same.  The reports are computed ahead, so that the quadratures end
+    # at once; small blocks give each x eight of them
+    reports = {x: verification.full_verification(ModelParams(1.0, x)) for x in (0.776, 2.0)}
+    generate_events, lock = montecarlo.generate_events, threading.Lock()
+    active, most = {"quad": 0, "blocks": 0}, {}
 
-    def recording(config, workers=1):
-        seen.append(workers)
-        return generate(config, workers)
+    def counted(kind, fn):
+        def call(*args):
+            with lock:
+                active[kind] += 1
+                most[kind] = max(most.get(kind, 0), active[kind])
+                most["all"] = max(most.get("all", 0), sum(active.values()))
+            try:
+                time.sleep(0.02)
+                return fn(*args)
+            finally:
+                with lock:
+                    active[kind] -= 1
+        return call
 
-    monkeypatch.setattr(cli.montecarlo, "generate", recording)
+    monkeypatch.setattr(montecarlo, "GENERATE_BLOCK_EVENTS", 250)
+    monkeypatch.setattr(montecarlo, "generate_events", counted("blocks", generate_events))
+    monkeypatch.setattr(verification, "full_verification",
+                        counted("quad", lambda params: reports[params.x]))
     names = ("scan_summary.csv", "scan_summary.txt", "scan_summary.yaml")
-    workers, summaries = [], []
+    busy, summaries = [], []
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}"
+        most.clear()
         assert run("scan", "0.776", "2", "--events", 2000, "--threads", threads,
                    "--out", out) == 0
-        workers.append(sorted(set(seen)))
-        seen.clear()
+        busy.append((most["all"], most["blocks"]))
         summaries.append([(out / name).read_bytes() for name in names])
-    assert workers == [[1], [1], [2]]
+    assert busy == [(2, 2), (2, 2), (3, 3)]
     assert summaries[0] == summaries[1] == summaries[2]
 
 

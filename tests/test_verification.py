@@ -235,25 +235,29 @@ def test_phases_integrated_together_give_each_phase_bit_for_bit(monkeypatch, x):
 
 @pytest.mark.parametrize("x", [0.776, 5.0])
 def test_normalizations_sum_the_flavours_as_the_per_flavour_sum_does(monkeypatch, x):
-    # all 64 phases in one quad call: its p and q totals must be those of the
-    # reference, quad of the Python sum of one density call per flavour
+    # all 64 phases in one quad call per side: on the edges and part width
+    # check_normalizations gives it, each call must equal quad of the
+    # reference, the Python sum of one density call per flavour
     params = ModelParams(1.0, x)
     monkeypatch.setattr(verification, "PHASE_PASS_NODES", 2**30)
-    computed = {c.name: c.computed for c in check_normalizations(params).checks}
-    t_max = verification.T_MAX_LIFETIMES
-    period = math.pi / x
-    n_flips = math.ceil(t_max / period) + 1
-    lams = (np.arange(64) + 0.5) * 2.0 * math.pi / 64
-    lam = lams[:, None]
-    flips = ((lam - 0.5 * math.pi) % math.pi) / x + np.arange(n_flips) * period
-    edges = np.pad(np.minimum(flips, t_max), ((0, 0), (1, 1)), constant_values=(0.0, t_max))
-    width = min(1.0, period)
-    p_total = quad(lambda t: sum(p_density(k, lam, t, params) for k in Flavour), edges,
-                   width, "reference p")
-    q_total = quad(lambda t: sum(q_shape(l, lam, t, params) for l in Flavour), edges,
-                   width, "reference q") / inverse_n(lams, params)
-    assert [computed[f"p_normalization/lambda_{j:03d}"] for j in range(64)] == p_total.tolist()
-    assert [computed[f"q_normalization/lambda_{j:03d}"] for j in range(64)] == q_total.tolist()
+    calls = []
+
+    def recording(integrand, edges, max_width, label):
+        value = quad(integrand, edges, max_width, label)
+        calls.append((label.split()[0], edges, max_width, value))
+        return value
+
+    monkeypatch.setattr(verification, "quad", recording)
+    check_normalizations(params)
+    n = verification.LAMBDA_SAMPLES
+    lam = ((np.arange(n) + 0.5) * 2.0 * math.pi / n)[:, None]
+    reference = {"first-side": lambda t: sum(p_density(k, lam, t, params) for k in Flavour),
+                 "second-side": lambda t: sum(q_shape(l, lam, t, params) for l in Flavour)}
+    sides = [call for call in calls if call[0] in reference]
+    assert [side for side, *_ in sides] == ["first-side", "second-side"]
+    for side, edges, max_width, value in sides:
+        assert value.shape == (n,)
+        assert np.array_equal(value, quad(reference[side], edges, max_width, side))
 
 
 @pytest.mark.parametrize("x", [0.01, 50.0])
